@@ -17,6 +17,11 @@ stabilization acting only on the part the projector removes:
 with G_tilde equal to G with its first row zeroed. No shape function is
 ever evaluated in the cell interior; the harmonic extension exists only
 implicitly.
+
+Every matrix depends on vertex data only, so cells with the same vertex
+count N run the same fixed-shape algebra: ElementBatch builds the
+matrices of a whole CellBatch at once, and the one-cell functions below
+are slices of the same computation.
 """
 
 from dataclasses import dataclass
@@ -26,6 +31,32 @@ import numpy as np
 from .errors import SingularG
 
 NU_POLICIES = ("unit", "trace")
+
+
+def _monomials(points, centroid, diameter):
+    """Scaled monomials 1, (x-x_P)/h_P, (y-y_P)/h_P at (..., M, 2) points
+    of cells with centroids (..., 2) and diameters (...), as (..., M, 3)."""
+    points = np.asarray(points, dtype=float)
+    centroid = np.asarray(centroid, dtype=float)
+    diameter = np.asarray(diameter, dtype=float)
+    out = np.empty(points.shape[:-1] + (3,))
+    out[..., 0] = 1.0
+    out[..., 1:] = ((points - centroid[..., None, :])
+                    / diameter[..., None, None])
+    return out
+
+
+def _matrix_B(lengths, normals, diameter):
+    """B of cells with edge lengths (..., N), normals (..., N, 2) and
+    diameters (...), as (..., 3, N); see matrix_B."""
+    N = lengths.shape[-1]
+    weighted = lengths[..., None] * normals  # edge j from V_j to V_{j+1}
+    prev = np.roll(weighted, 1, axis=-2)
+    B = np.empty(lengths.shape[:-1] + (3, N))
+    B[..., 0, :] = 1.0 / N
+    B[..., 1:, :] = (np.swapaxes(prev + weighted, -1, -2)
+                     / (2.0 * diameter)[..., None, None])
+    return B
 
 
 @dataclass
@@ -38,11 +69,7 @@ class ScaledMonomialBasis:
     def evaluate(self, points):
         """Values of the three monomials at (M, 2) points, as (M, 3)."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((len(p), 3))
-        out[:, 0] = 1.0
-        out[:, 1] = (p[:, 0] - self.centroid[0]) / self.diameter
-        out[:, 2] = (p[:, 1] - self.centroid[1]) / self.diameter
-        return out
+        return _monomials(p, self.centroid, self.diameter)
 
     def gradients(self):
         """Constant gradients of the monomials, rows of a (3, 2) array."""
@@ -52,8 +79,7 @@ class ScaledMonomialBasis:
 
 def matrix_D(geom, vertices):
     """Vertex values of the scaled monomial basis, one row per vertex."""
-    basis = ScaledMonomialBasis(geom.centroid, geom.diameter)
-    return basis.evaluate(np.asarray(vertices, dtype=float))
+    return _monomials(vertices, geom.centroid, geom.diameter)
 
 
 def matrix_B(geom):
@@ -66,42 +92,77 @@ def matrix_B(geom):
 
       B[1+c][j] = (|E_{j-1}| n_c^{(j-1)} + |E_j| n_c^{(j)}) / (2 h_P).
     """
-    N = geom.n_vertices
-    lengths = geom.edge_lengths
-    normals = geom.edge_normals
-    B = np.empty((3, N))
-    B[0] = 1.0 / N
-    weighted = lengths[:, None] * normals  # (N, 2), edge j from V_j to V_{j+1}
-    prev = np.roll(weighted, 1, axis=0)
-    B[1] = (prev[:, 0] + weighted[:, 0]) / (2.0 * geom.diameter)
-    B[2] = (prev[:, 1] + weighted[:, 1]) / (2.0 * geom.diameter)
-    return B
+    return _matrix_B(geom.edge_lengths, geom.edge_normals,
+                     np.asarray(geom.diameter, dtype=float))
 
 
-def _det3(G):
-    return (G[0, 0] * (G[1, 1] * G[2, 2] - G[1, 2] * G[2, 1])
-            - G[0, 1] * (G[1, 0] * G[2, 2] - G[1, 2] * G[2, 0])
-            + G[0, 2] * (G[1, 0] * G[2, 1] - G[1, 1] * G[2, 0]))
+class ElementBatch:
+    """Element matrices of C cells with the same vertex count N.
+
+    D (C, N, 3), B (C, 3, N), G and G_tilde (C, 3, 3), Pi_star (C, 3, N),
+    Pi and K (C, N, N) and nu (C,), as in the module docstring. G must be
+    invertible: a cell whose |det G| is below 1e-12 |G|_F^3 (or NaN) is
+    flagged in `singular`, its matrices are meaningless, and g_error
+    gives the SingularG that build_element raises for it.
+    """
+
+    def __init__(self, D, B, nu_policy="unit"):
+        if nu_policy not in NU_POLICIES:
+            raise ValueError(
+                f"unknown nu policy {nu_policy!r}; valid: "
+                f"{', '.join(NU_POLICIES)}")
+        with np.errstate(all="ignore"):
+            G = B @ D
+            det = np.linalg.det(G)
+            norm = np.linalg.norm(G, axis=(-2, -1))
+            singular = ~(np.abs(det) >= 1e-12 * norm ** 3)
+            # singular cells solve against the identity; they are flagged
+            Pi_star = np.linalg.solve(
+                np.where(singular[:, None, None], np.eye(3), G), B)
+            G_tilde = G.copy()
+            G_tilde[:, 0, :] = 0.0
+            Pi_star_T = np.swapaxes(Pi_star, 1, 2)
+            Pi = D @ Pi_star
+            Kc = Pi_star_T @ G_tilde @ Pi_star
+            R = np.eye(D.shape[1]) - Pi
+            S = np.swapaxes(R, 1, 2) @ R
+            if nu_policy == "unit":
+                nu = np.ones(len(D))
+            else:
+                nu = 0.5 * np.trace(Kc, axis1=1, axis2=2)
+            K = Kc + nu[:, None, None] * S
+        self.D, self.B, self.G, self.G_tilde = D, B, G, G_tilde
+        self.Pi_star, self.Pi, self.K, self.nu = Pi_star, Pi, K, nu
+        self.det, self.singular = det, singular
+
+    @classmethod
+    def of(cls, geo, nu_policy="unit"):
+        """Elements of every cell of a geometry.CellBatch."""
+        D = _monomials(geo.vertices, geo.centroid, geo.diameter)
+        B = _matrix_B(geo.edge_lengths, geo.edge_normals, geo.diameter)
+        return cls(D, B, nu_policy)
+
+    def g_error(self, k):
+        """SingularG for cell k, or None."""
+        if self.singular[k]:
+            return SingularG(
+                f"projection Gram matrix is singular (det {self.det[k]:.3e})")
+        return None
+
+    def element(self, k):
+        """LocalElementMatrices of cell k."""
+        if self.singular[k]:
+            raise self.g_error(k)
+        return LocalElementMatrices(
+            D=self.D[k], B=self.B[k], G=self.G[k], G_tilde=self.G_tilde[k],
+            Pi_star=self.Pi_star[k], Pi=self.Pi[k], K=self.K[k],
+            nu=float(self.nu[k]))
 
 
-def _solve3(G, rhs):
-    """Solve the 3x3 system G X = rhs by Gaussian elimination with
-    partial pivoting. rhs has shape (3, m)."""
-    a = np.column_stack([np.array(G, dtype=float), np.array(rhs, dtype=float)])
-    for col in range(3):
-        pivot = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[pivot, col] == 0.0:
-            raise SingularG("zero pivot in 3x3 projection solve")
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-        for row in range(col + 1, 3):
-            factor = a[row, col] / a[col, col]
-            if factor != 0.0:
-                a[row, col:] -= factor * a[col, col:]
-    x = np.empty((3, a.shape[1] - 3))
-    for row in (2, 1, 0):
-        x[row] = (a[row, 3:] - a[row, row + 1:3] @ x[row + 1:]) / a[row, row]
-    return x
+def _one_cell(D, B, nu_policy="unit"):
+    D = np.asarray(D, dtype=float)
+    B = np.asarray(B, dtype=float)
+    return ElementBatch(D[None], B[None], nu_policy).element(0)
 
 
 def projector_pistar(D, B):
@@ -110,15 +171,8 @@ def projector_pistar(D, B):
     G = B D must be invertible; Pi_star = G^{-1} B reproduces linear
     polynomials exactly (Pi_star D = identity).
     """
-    G = B @ D
-    norm = float(np.linalg.norm(G))
-    if abs(_det3(G)) < 1e-12 * norm ** 3:
-        raise SingularG(
-            f"projection Gram matrix is singular (det {_det3(G):.3e})")
-    G_tilde = G.copy()
-    G_tilde[0, :] = 0.0
-    Pi_star = _solve3(G, B)
-    return G, G_tilde, Pi_star
+    el = _one_cell(D, B)
+    return el.G, el.G_tilde, el.Pi_star
 
 
 def average_gradient(geom, dof_values):
@@ -135,27 +189,10 @@ def average_gradient(geom, dof_values):
     return (vbar[:, None] * weighted).sum(axis=0) / geom.area
 
 
-def _stiffness_parts(D, B, nu_policy):
-    G, G_tilde, Pi_star = projector_pistar(D, B)
-    Pi = D @ Pi_star
-    Kc = Pi_star.T @ G_tilde @ Pi_star
-    R = np.eye(len(D)) - Pi
-    S = R.T @ R
-    if nu_policy == "unit":
-        nu = 1.0
-    elif nu_policy == "trace":
-        nu = 0.5 * float(np.trace(Kc))
-    else:
-        raise ValueError(
-            f"unknown nu policy {nu_policy!r}; valid: {', '.join(NU_POLICIES)}")
-    K = Kc + nu * S
-    return G, G_tilde, Pi_star, Pi, K, nu
-
-
 def local_stiffness(D, B, nu_policy="unit"):
     """Stabilized local stiffness matrix and the coefficient used."""
-    _, _, _, _, K, nu = _stiffness_parts(D, B, nu_policy)
-    return K, nu
+    el = _one_cell(D, B, nu_policy)
+    return el.K, el.nu
 
 
 def consistency_check(K, D, B):
@@ -203,8 +240,4 @@ class StabilityConstants:
 
 def build_element(geom, nu_policy="unit"):
     """Run the whole local construction for one cell."""
-    D = matrix_D(geom, geom.vertices)
-    B = matrix_B(geom)
-    G, G_tilde, Pi_star, Pi, K, nu = _stiffness_parts(D, B, nu_policy)
-    return LocalElementMatrices(
-        D=D, B=B, G=G, G_tilde=G_tilde, Pi_star=Pi_star, Pi=Pi, K=K, nu=nu)
+    return _one_cell(matrix_D(geom, geom.vertices), matrix_B(geom), nu_policy)

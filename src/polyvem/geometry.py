@@ -3,6 +3,11 @@
 A polygon is an (N, 2) float array of vertices in counterclockwise order,
 N >= 3, no repeated points. All tolerances are relative to the polygon
 scale so behaviour does not depend on physical units.
+
+All cells with the same vertex count N are handled together: CellBatch
+takes them as one (C, N, 2) stack and computes every per-cell quantity
+in a single vectorized pass. The one-polygon functions below are
+one-cell slices of that batch, so there is one code path for both.
 """
 
 from dataclasses import dataclass
@@ -51,11 +56,143 @@ def _as_polygon(vertices):
     return v
 
 
+def _next_vertex(v):
+    """Vertex i+1 (cyclic) at position i of a (..., N, 2) stack."""
+    return np.concatenate((v[..., 1:, :], v[..., :1, :]), axis=-2)
+
+
+def _diameters(v):
+    """Largest vertex-to-vertex distance of each polygon of a stack."""
+    diff = v[..., :, None, :] - v[..., None, :, :]
+    diff *= diff
+    return np.sqrt(diff.sum(axis=-1).max(axis=(-2, -1)))
+
+
+class CellBatch:
+    """Geometry of C polygons that share the vertex count N.
+
+    vertices is (C, N, 2), each polygon counterclockwise. Every per-cell
+    quantity has the cell on axis 0: area (C,), centroid (C, 2),
+    diameter (C,), edge_lengths (C, N), edge_normals (C, N, 2) and
+    fan_areas (C, N), the signed areas of the centroid-fan triangles
+    (c, v_i, v_{i+1}). Edge i runs from vertex i to vertex i+1.
+
+    Construction never raises. A degenerate cell gets meaningless values
+    and a flag in short_edge, bad_area or bad_fan; edge_error, area_error
+    and fan_error turn a flag into the exception the one-polygon
+    functions raise. Each test is written `not value > tol`, so a NaN
+    fails it.
+    """
+
+    def __init__(self, vertices):
+        v = np.asarray(vertices, dtype=float)
+        vn = _next_vertex(v)
+        x, y, xn, yn = v[..., 0], v[..., 1], vn[..., 0], vn[..., 1]
+        with np.errstate(all="ignore"):
+            diameter = _diameters(v)
+            d = vn - v
+            lengths = np.sqrt((d * d).sum(axis=-1))
+            normals = np.stack([d[..., 1], -d[..., 0]], axis=-1)
+            normals /= lengths[..., None]
+            cross = x * yn - xn * y
+            area = 0.5 * cross.sum(axis=-1)
+            centroid = ((v + vn) * cross[..., None]).sum(axis=-2)
+            centroid /= (6.0 * area)[:, None]
+            cx, cy = centroid[:, None, 0], centroid[:, None, 1]
+            fan = 0.5 * ((x - cx) * (yn - cy) - (xn - cx) * (y - cy))
+            tol = 1e-14 * diameter
+            self.short_edge = ~(lengths > tol[:, None])
+            self.bad_area = ~(area > tol * diameter)
+            self.bad_fan = ~(fan > (tol * diameter)[:, None])
+        self.vertices = v
+        self.area = area
+        self.centroid = centroid
+        self.diameter = diameter
+        self.edge_lengths = lengths
+        self.edge_normals = normals
+        self.fan_areas = fan
+
+    def __len__(self):
+        return len(self.vertices)
+
+    def faulty(self):
+        """(C,) mask of the cells with any geometric flag set."""
+        return (self.short_edge.any(axis=1) | self.bad_area
+                | self.bad_fan.any(axis=1))
+
+    def edge_error(self, k):
+        """ZeroLengthEdge for cell k, or None."""
+        short = np.flatnonzero(self.short_edge[k])
+        if short.size:
+            return ZeroLengthEdge(f"edge {int(short[0])} has zero length")
+        return None
+
+    def area_error(self, k):
+        """NonPositiveArea for cell k, or None."""
+        if self.bad_area[k]:
+            return NonPositiveArea(
+                f"signed area {self.area[k]:.3e} is not positive; vertices "
+                "must be counterclockwise and non-degenerate")
+        return None
+
+    def fan_error(self, k):
+        """InvertedSubTriangle for cell k, or None."""
+        bad = np.flatnonzero(self.bad_fan[k])
+        if bad.size:
+            return InvertedSubTriangle(
+                f"fan triangle at edge {int(bad[0])} is inverted; polygon "
+                "is not star-shaped with respect to its centroid")
+        return None
+
+    def cell(self, k):
+        """CellGeometry of cell k."""
+        return CellGeometry(
+            vertices=self.vertices[k],
+            area=float(self.area[k]),
+            centroid=self.centroid[k],
+            diameter=float(self.diameter[k]),
+            edge_lengths=self.edge_lengths[k],
+            edge_normals=self.edge_normals[k],
+        )
+
+    def quadrature(self, order=2, max_points=None):
+        """Fan quadrature of the cells, in slices of at most `max_points`
+        points (all cells at once by default).
+
+        Yields (cells, x, y, w): the slice of cells covered, then the
+        points and weights of those cells, each (c, Q). Each fan triangle
+        carries a symmetric Gauss rule exact to the requested degree (2
+        or 4); a cell's points run by fan triangle, then by rule point.
+        Weights of flagged cells are meaningless.
+        """
+        if order not in _TRI_RULES:
+            raise ValueError(
+                f"unsupported quadrature order {order}; use 2 or 4")
+        bary, w = _TRI_RULES[order]
+        C, N = self.vertices.shape[:2]
+        step = max(1, C if max_points is None else max_points // (N * len(w)))
+        for lo in range(0, C, step):
+            cells = slice(lo, lo + step)
+            v = self.vertices[cells]
+            c = np.broadcast_to(self.centroid[cells, None, :], v.shape)
+            corners = np.stack([c, v, _next_vertex(v)], axis=-1)  # (c,N,2,3)
+            pts = (np.moveaxis(corners, 2, 0) @ bary.T).reshape(2, len(v), -1)
+            wts = (self.fan_areas[cells, :, None] * w).reshape(len(v), -1)
+            yield cells, pts[0], pts[1], wts
+
+
+def _one_cell(vertices):
+    return CellBatch(_as_polygon(vertices)[None])
+
+
+def _raise(error):
+    if error is not None:
+        raise error
+
+
 def polygon_diameter(vertices):
     """Largest distance between any two vertices."""
-    v = _as_polygon(vertices)
-    diff = v[:, None, :] - v[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+    return float(_diameters(_as_polygon(vertices)))
 
 
 def polygon_area(vertices):
@@ -64,26 +201,16 @@ def polygon_area(vertices):
     Positive area is the orientation contract: clockwise input is an error
     here, not something we silently fix.
     """
-    v = _as_polygon(vertices)
-    x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    area = 0.5 * float(np.sum(x * yn - xn * y))
-    scale = polygon_diameter(v)
-    if area <= 1e-14 * scale * scale:
-        raise NonPositiveArea(
-            f"signed area {area:.3e} is not positive; vertices must be "
-            "counterclockwise and non-degenerate")
-    return area
+    b = _one_cell(vertices)
+    _raise(b.area_error(0))
+    return float(b.area[0])
 
 
 def polygon_centroid(vertices):
     """Area centroid (not the vertex average)."""
-    v = _as_polygon(vertices)
-    area = polygon_area(v)
-    vn = np.roll(v, -1, axis=0)
-    cross = v[:, 0] * vn[:, 1] - vn[:, 0] * v[:, 1]
-    c = (v + vn) * cross[:, None]
-    return c.sum(axis=0) / (6.0 * area)
+    b = _one_cell(vertices)
+    _raise(b.area_error(0))
+    return b.centroid[0]
 
 
 def edge_data(vertices):
@@ -93,15 +220,9 @@ def edge_data(vertices):
     polygon the outward normal of direction (dx, dy) is (dy, -dx)/length.
     Returns (lengths (N,), normals (N, 2)).
     """
-    v = _as_polygon(vertices)
-    d = np.roll(v, -1, axis=0) - v
-    lengths = np.sqrt((d ** 2).sum(axis=1))
-    scale = polygon_diameter(v)
-    short = np.nonzero(lengths <= 1e-14 * scale)[0]
-    if short.size:
-        raise ZeroLengthEdge(f"edge {int(short[0])} has zero length")
-    normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
-    return lengths, normals
+    b = _one_cell(vertices)
+    _raise(b.edge_error(0))
+    return b.edge_lengths[0], b.edge_normals[0]
 
 
 @dataclass
@@ -122,16 +243,9 @@ class CellGeometry:
 
 def cell_geometry(vertices):
     """Bundle area, centroid, diameter and edge data for one polygon."""
-    v = _as_polygon(vertices)
-    lengths, normals = edge_data(v)
-    return CellGeometry(
-        vertices=v,
-        area=polygon_area(v),
-        centroid=polygon_centroid(v),
-        diameter=polygon_diameter(v),
-        edge_lengths=lengths,
-        edge_normals=normals,
-    )
+    b = _one_cell(vertices)
+    _raise(b.edge_error(0) or b.area_error(0))
+    return b.cell(0)
 
 
 @dataclass
@@ -157,21 +271,7 @@ def fan_quadrature(vertices, order=2):
     """
     if order not in _TRI_RULES:
         raise ValueError(f"unsupported quadrature order {order}; use 2 or 4")
-    v = _as_polygon(vertices)
-    c = polygon_centroid(v)
-    diam2 = polygon_diameter(v) ** 2
-    bary, w = _TRI_RULES[order]
-    vn = np.roll(v, -1, axis=0)
-    # signed areas of the fan triangles (c, v_i, v_{i+1})
-    tri_areas = 0.5 * ((v[:, 0] - c[0]) * (vn[:, 1] - c[1])
-                       - (vn[:, 0] - c[0]) * (v[:, 1] - c[1]))
-    bad = np.nonzero(tri_areas <= 1e-14 * diam2)[0]
-    if bad.size:
-        raise InvertedSubTriangle(
-            f"fan triangle at edge {int(bad[0])} is inverted; polygon is "
-            "not star-shaped with respect to its centroid")
-    # map the barycentric rule onto every fan triangle at once
-    corners = np.stack([np.broadcast_to(c, v.shape), v, vn], axis=1)  # (N,3,2)
-    pts = np.einsum("qk,nkd->nqd", bary, corners).reshape(-1, 2)
-    wts = (tri_areas[:, None] * w[None, :]).reshape(-1)
-    return QuadratureRule(points=pts, weights=wts)
+    b = _one_cell(vertices)
+    _raise(b.area_error(0) or b.fan_error(0))
+    (_, x, y, w), = b.quadrature(order)
+    return QuadratureRule(points=np.column_stack([x[0], y[0]]), weights=w[0])

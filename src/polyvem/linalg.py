@@ -27,8 +27,10 @@ def _canonical(n, rows, cols, values):
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     vals = values[order]
+    if not len(keys):
+        return keys, keys, vals
     starts = np.r_[0, np.nonzero(np.diff(keys))[0] + 1]
-    sums = np.add.reduceat(vals, starts) if len(vals) else vals
+    sums = np.add.reduceat(vals, starts)
     kept = keys[starts]
     return kept // n, kept % n, sums
 

@@ -17,13 +17,11 @@ import numpy as np
 
 from .errors import (
     IndexOutOfRange,
-    NonPositiveArea,
     ParseError,
     UnsupportedResolution,
     ValidationError,
-    ZeroLengthEdge,
 )
-from .geometry import edge_data, polygon_area, polygon_centroid
+from .geometry import CellBatch
 
 FAMILIES = ("quad", "perturbed_quad", "triangle", "hexagon", "hanging_node")
 
@@ -75,42 +73,64 @@ class MeshFamilySpec:
 class PolygonalMesh:
     """Immutable polygonal mesh with derived edge topology.
 
-    vertices: (V, 2) float array. cells: list of integer index arrays,
-    each a CCW loop. Edges are undirected (vmin, vmax) pairs; the incident
-    cell lists follow the order cells were given in.
+    vertices: (V, 2) float array of finite coordinates. cells: list of
+    integer index arrays, each a CCW loop. Edges are undirected
+    (vmin, vmax) pairs; the incident cell lists follow the order cells
+    were given in.
     """
 
     def __init__(self, vertices, cells):
         self.vertices = np.asarray(vertices, dtype=float).reshape(-1, 2)
         self.cells = [np.asarray(c, dtype=np.int64).ravel() for c in cells]
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            vi = int(np.flatnonzero(~finite)[0])
+            x, y = self.vertices[vi]
+            raise ValidationError(
+                f"vertex {vi} has a non-finite coordinate ({x}, {y})")
+        self._sizes = np.array([len(c) for c in self.cells], dtype=np.int64)
+        self._flat = (np.concatenate(self.cells) if self.cells
+                      else np.zeros(0, dtype=np.int64))
+        self._starts = np.cumsum(self._sizes) - self._sizes
         V = len(self.vertices)
-        for ci, loop in enumerate(self.cells):
-            if len(loop) and (loop.min() < 0 or loop.max() >= V):
-                raise IndexOutOfRange(
-                    f"cell {ci} references a vertex outside [0, {V})")
+        out = np.flatnonzero((self._flat < 0) | (self._flat >= V))
+        if out.size:
+            # the last cell starting at or before the first bad entry
+            ci = int(np.searchsorted(self._starts, out[0], side="right")) - 1
+            raise IndexOutOfRange(
+                f"cell {ci} references a vertex outside [0, {V})")
         self._build_topology()
+        self._groups = None
 
     def _build_topology(self):
-        # undirected edge -> [(cell, tail, head), ...] in cell order
-        incident = {}
-        for ci, loop in enumerate(self.cells):
-            for k in range(len(loop)):
-                a = int(loop[k])
-                b = int(loop[(k + 1) % len(loop)])
-                if a == b:
-                    continue  # degenerate; validate() reports it
-                key = (a, b) if a < b else (b, a)
-                incident.setdefault(key, []).append((ci, a, b))
-        keys = sorted(incident)
-        self.edges = np.array(keys, dtype=np.int64).reshape(-1, 2)
-        self.edge_cells = [[rec[0] for rec in incident[k]] for k in keys]
-        self._edge_traversals = [incident[k] for k in keys]
-        self.boundary_edge_ids = np.array(
-            [i for i, cs in enumerate(self.edge_cells) if len(cs) == 1],
-            dtype=np.int64)
+        # every directed edge tail -> head in cell order, without the
+        # degenerate tail == head ones (validate() reports those)
+        tail = self._flat
+        head_at = np.arange(1, len(tail) + 1)
+        nonempty = self._sizes > 0
+        head_at[(self._starts + self._sizes)[nonempty] - 1] = \
+            self._starts[nonempty]
+        head = tail[head_at]
+        cell = np.repeat(np.arange(len(self.cells)), self._sizes)
+        keep = tail != head
+        tail, head, cell = tail[keep], head[keep], cell[keep]
+        lo, hi = np.minimum(tail, head), np.maximum(tail, head)
+        order = np.lexsort((hi, lo))  # stable: cell order within an edge
+        lo, hi, tail, cell = lo[order], hi[order], tail[order], cell[order]
+        new = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        first = np.flatnonzero(np.r_[len(lo) > 0, new])
+        counts = np.diff(np.r_[first, len(lo)])
+        self.edges = np.column_stack([lo[first], hi[first]])
+        cells = cell.tolist()
+        self.edge_cells = [cells[s:s + c]
+                           for s, c in zip(first.tolist(), counts.tolist())]
+        # per edge: first traversal, number of traversals, and the tail of
+        # every traversal in edge order, for validate()
+        self._edge_first, self._edge_counts = first, counts
+        self._edge_tails = tail
+        self.boundary_edge_ids = np.flatnonzero(counts == 1)
         flags = np.zeros(len(self.vertices), dtype=bool)
-        if len(self.boundary_edge_ids):
-            flags[self.edges[self.boundary_edge_ids].ravel()] = True
+        flags[self.edges[self.boundary_edge_ids].ravel()] = True
         self.boundary_vertex_flags = flags
 
     @property
@@ -131,13 +151,28 @@ class PolygonalMesh:
             raise IndexOutOfRange(f"cell index {ci} outside [0, {len(self.cells)})")
         return self.vertices[self.cells[ci]]
 
+    def cell_groups(self):
+        """Cells grouped by vertex count N, in ascending N.
+
+        A list of (ids, loops, geometry): ids (C,) the cell indices in
+        ascending order, loops (C, N) their vertex loops, and geometry
+        their CellBatch (None when N < 3). Computed once; the mesh is
+        immutable.
+        """
+        if self._groups is None:
+            groups = []
+            for n in np.unique(self._sizes):
+                ids = np.flatnonzero(self._sizes == n)
+                loops = self._flat[self._starts[ids, None] + np.arange(n)]
+                geo = CellBatch(self.vertices[loops]) if n >= 3 else None
+                groups.append((ids, loops, geo))
+            self._groups = groups
+        return self._groups
+
     def max_diameter(self):
-        h = 0.0
-        for loop in self.cells:
-            v = self.vertices[loop]
-            diff = v[:, None, :] - v[None, :, :]
-            h = max(h, float(np.sqrt((diff ** 2).sum(axis=2)).max()))
-        return h
+        return max((float(geo.diameter.max())
+                    for _, _, geo in self.cell_groups() if geo is not None),
+                   default=0.0)
 
     def __eq__(self, other):
         if not isinstance(other, PolygonalMesh):
@@ -163,47 +198,69 @@ class ValidationReport:
         return not self.violations
 
 
+def _cell_violations(loops, geo):
+    """(C,) per-cell message, "" where the cell is fine; the first failed
+    check of each cell wins."""
+    out = np.full(len(loops), "", dtype=object)
+    if loops.shape[1] < 3:
+        out[:] = "fewer than 3 distinct vertices"
+        return out
+    s = np.sort(loops, axis=1)
+    checks = (
+        ((s[:, 1:] != s[:, :-1]).sum(axis=1) < 2,
+         "fewer than 3 distinct vertices"),
+        ((loops == np.roll(loops, -1, axis=1)).any(axis=1),
+         "repeated consecutive vertex index"),
+        (geo.bad_area, "non-positive area (clockwise or degenerate)"),
+        (geo.short_edge.any(axis=1), "zero-length edge"),
+        (geo.bad_fan.any(axis=1),
+         "not star-shaped with respect to its centroid"),
+    )
+    for mask, text in reversed(checks):
+        out[mask] = text
+    return out
+
+
+def _may_have_close_pair(vertices, tol):
+    """False only if no two vertices lie within tol of each other in both
+    coordinates: a vectorized screen before the exact search.
+
+    Sorted by x, vertices split into runs wherever consecutive x differ
+    by more than tol; two vertices within tol in x share a run, and in
+    that run sorted by y no gap between them exceeds tol.
+    """
+    x, y = vertices[:, 0], vertices[:, 1]
+    order = np.argsort(x, kind="stable")
+    run = np.cumsum(np.r_[0, np.diff(x[order]) > tol])
+    by_run = np.lexsort((y[order], run))
+    run, ys = run[by_run], y[order][by_run]
+    return bool(np.any((run[1:] == run[:-1]) & (np.diff(ys) <= tol)))
+
+
 def validate(mesh):
     """Check every structural invariant and report all violations found."""
     report = ValidationReport()
     say = report.violations.append
 
-    for ci, loop in enumerate(mesh.cells):
-        if len(np.unique(loop)) < 3:
-            say(f"cell {ci}: fewer than 3 distinct vertices")
-            continue
-        if np.any(loop == np.roll(loop, -1)):
-            say(f"cell {ci}: repeated consecutive vertex index")
-            continue
-        v = mesh.vertices[loop]
-        try:
-            polygon_area(v)
-        except NonPositiveArea:
-            say(f"cell {ci}: non-positive area (clockwise or degenerate)")
-            continue
-        try:
-            edge_data(v)
-        except ZeroLengthEdge:
-            say(f"cell {ci}: zero-length edge")
-            continue
-        c = polygon_centroid(v)
-        vn = np.roll(v, -1, axis=0)
-        tri = 0.5 * ((v[:, 0] - c[0]) * (vn[:, 1] - c[1])
-                     - (vn[:, 0] - c[0]) * (v[:, 1] - c[1]))
-        diam2 = float(((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2).max())
-        if np.any(tri <= 1e-14 * diam2):
-            say(f"cell {ci}: not star-shaped with respect to its centroid")
+    per_cell = np.full(mesh.n_cells, "", dtype=object)
+    for ids, loops, geo in mesh.cell_groups():
+        per_cell[ids] = _cell_violations(loops, geo)
+    for ci in np.flatnonzero(per_cell != ""):
+        say(f"cell {ci}: {per_cell[ci]}")
 
-    for ei, recs in enumerate(mesh._edge_traversals):
+    counts, first = mesh._edge_counts, mesh._edge_first
+    twice = np.zeros(len(counts), dtype=bool)
+    pairs = first[counts == 2]
+    twice[counts == 2] = mesh._edge_tails[pairs] == mesh._edge_tails[pairs + 1]
+    for ei in np.flatnonzero((counts > 2) | twice):
         a, b = mesh.edges[ei]
-        if len(recs) > 2:
-            say(f"edge ({a},{b}): incident to {len(recs)} cells (non-manifold)")
-        elif len(recs) == 2 and recs[0][1:] == recs[1][1:]:
+        if counts[ei] > 2:
+            say(f"edge ({a},{b}): incident to {counts[ei]} cells (non-manifold)")
+        else:
             say(f"edge ({a},{b}): traversed in the same direction twice")
 
     in_cell = np.zeros(mesh.n_vertices, dtype=bool)
-    for loop in mesh.cells:
-        in_cell[loop] = True
+    in_cell[mesh._flat] = True
     for vi in np.nonzero(~in_cell)[0]:
         say(f"vertex {vi}: not referenced by any cell")
 
@@ -211,7 +268,7 @@ def validate(mesh):
         lo = mesh.vertices.min(axis=0)
         hi = mesh.vertices.max(axis=0)
         tol = 1e-12 * float(np.linalg.norm(hi - lo))
-        if tol > 0:
+        if tol > 0 and _may_have_close_pair(mesh.vertices, tol):
             bins = {}
             for vi, (x, y) in enumerate(mesh.vertices):
                 keyx, keyy = int(np.floor(x / tol)), int(np.floor(y / tol))
@@ -497,15 +554,15 @@ def read_json(path):
     cells = doc["cells"]
     _expect(isinstance(verts, list), '"vertices" must be an array')
     _expect(isinstance(cells, list), '"cells" must be an array')
+    # json.loads gives exact list/int/float/bool types; bool is no number
+    number = (int, float)
     for k, p in enumerate(verts):
-        _expect(isinstance(p, list) and len(p) == 2
-                and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                        for c in p),
-                f"vertices[{k}] must be a pair of numbers")
+        if not (type(p) is list and len(p) == 2
+                and type(p[0]) in number and type(p[1]) in number):
+            raise ParseError(f"vertices[{k}] must be a pair of numbers")
     for k, loop in enumerate(cells):
-        _expect(isinstance(loop, list) and all(
-            isinstance(i, int) and not isinstance(i, bool) for i in loop),
-            f"cells[{k}] must be an array of integer indices")
+        if not (type(loop) is list and set(map(type, loop)) <= {int}):
+            raise ParseError(f"cells[{k}] must be an array of integer indices")
 
     try:
         mesh = PolygonalMesh(np.array(verts, dtype=float).reshape(-1, 2), cells)

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .element import build_element, local_load
-from .errors import EmptyInterior, NoConvergence, VemError
-from .geometry import cell_geometry, fan_quadrature
+from .element import ElementBatch
+from .errors import EmptyInterior, NoConvergence, ValidationError, VemError
+# kept as a module attribute: perfbench's tracing tests look it up here
+from .geometry import cell_geometry  # noqa: F401
 from .linalg import SparseSymMatrix, cg_solve
 from .mesh import boundary_vertices, generate
 
@@ -118,31 +119,66 @@ class ConvergenceTable:
     eoc_H1: list = field(default_factory=list)
 
 
+# Quadrature points per vectorized pass of the load and error sums, so
+# their temporaries stay small whatever the mesh size. The problem's
+# callables get the (c, Q) point arrays of one pass.
+_POINTS_PER_PASS = 1 << 14
+
+
+def _first_failure(geo, el):
+    """A group's first failing cell and the error the one-cell path
+    raises there, checked in its order: edges, area, projection, fan
+    quadrature. None when every cell is fine."""
+    bad = np.flatnonzero(geo.faulty() | el.singular)
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    return k, (geo.edge_error(k) or geo.area_error(k) or el.g_error(k)
+               or geo.fan_error(k))
+
+
+def _integrals(geo, f, quad_order):
+    """Integral of f over every cell of a group."""
+    out = np.empty(len(geo))
+    for cells, x, y, w in geo.quadrature(quad_order, _POINTS_PER_PASS):
+        out[cells] = (w * f(x, y)).sum(axis=1)
+    return out
+
+
 def _assemble_parts(mesh, problem, nu_policy, quad_order):
-    """One pass over cells: stiffness triplets, load, projector rows."""
-    rows, cols, vals = [], [], []
-    b = np.zeros(mesh.n_vertices)
-    pistars = []
-    for ci in range(mesh.n_cells):
-        loop = mesh.cells[ci]
-        try:
-            verts = mesh.cell_vertices(ci)
-            geom = cell_geometry(verts)
-            el = build_element(geom, nu_policy=nu_policy)
-            quad = fan_quadrature(verts, order=quad_order)
-            load = local_load(geom, quad, problem.f)
-        except VemError as e:
-            raise type(e)(f"cell {ci}: {e}") from e
-        n = len(loop)
-        rows.append(np.repeat(loop, n))
-        cols.append(np.tile(loop, n))
+    """One batched pass per vertex count: stiffness triplets, load and
+    the projector of every cell, as (ids, loops, Pi_star) per group."""
+    if mesh.n_cells == 0:
+        raise ValidationError("mesh has no cells")
+    rows, cols, vals, at, load = [], [], [], [], []
+    projectors, failures = [], []
+    for ids, loops, geo in mesh.cell_groups():
+        if geo is None:
+            failures.append((ids[0], ValueError(
+                "polygon must be an (N, 2) array with N >= 3")))
+            continue
+        el = ElementBatch.of(geo, nu_policy)
+        failure = _first_failure(geo, el)
+        if failure is not None:
+            failures.append((ids[failure[0]], failure[1]))
+            continue
+        n = loops.shape[1]
+        rows.append(np.repeat(loops, n, axis=1).ravel())
+        cols.append(np.tile(loops, (1, n)).ravel())
         vals.append(el.K.ravel())
-        b[loop] += load
-        pistars.append(el.Pi_star)
-    A = SparseSymMatrix.from_triplets(
-        mesh.n_vertices,
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-    return A, b, pistars
+        at.append(loops.ravel())
+        load.append(np.repeat(_integrals(geo, problem.f, quad_order) / n, n))
+        projectors.append((ids, loops, el.Pi_star))
+    if failures:
+        ci, error = min(failures, key=lambda f: f[0])
+        if not isinstance(error, VemError):
+            raise error
+        raise type(error)(f"cell {ci}: {error}") from error
+    b = np.zeros(mesh.n_vertices)
+    np.add.at(b, np.concatenate(at), np.concatenate(load))
+    rows, cols, vals = (np.concatenate(p) for p in (rows, cols, vals))
+    A = SparseSymMatrix.from_triplets(mesh.n_vertices, rows, cols, vals)
+    return A, b, projectors
 
 
 def assemble(mesh, problem, nu_policy="unit", quad_order=4):
@@ -184,7 +220,7 @@ def solve(mesh, problem, options=None):
     """Assemble, apply boundary conditions, and CG-solve one problem."""
     opts = options or SolveOptions()
     t0 = time.perf_counter()
-    A, b, pistars = _assemble_parts(
+    A, b, projectors = _assemble_parts(
         mesh, problem, opts.nu_policy, opts.quad_order)
     try:
         system = apply_dirichlet(A, b, mesh, problem.g)
@@ -203,8 +239,9 @@ def solve(mesh, problem, options=None):
         dofs = np.zeros(mesh.n_vertices)
         dofs[bnd] = problem.g(mesh.vertices[bnd, 0], mesh.vertices[bnd, 1])
         iters, resid = 0, 0.0
-    coeffs = np.array([pistars[ci] @ dofs[mesh.cells[ci]]
-                       for ci in range(mesh.n_cells)])
+    coeffs = np.zeros((mesh.n_cells, 3))
+    for ids, loops, Pi_star in projectors:
+        coeffs[ids] = np.einsum("cij,cj->ci", Pi_star, dofs[loops])
     wall = time.perf_counter() - t0
     return DiscreteSolution(
         mesh=mesh, dof_values=dofs, cell_coeffs=coeffs,
@@ -216,21 +253,20 @@ def error_norms(sol, problem, quad_order=4):
     mesh = sol.mesh
     e_l2 = 0.0
     e_h1 = 0.0
-    for ci in range(mesh.n_cells):
-        verts = mesh.cell_vertices(ci)
-        geom = cell_geometry(verts)
-        quad = fan_quadrature(verts, order=quad_order)
-        x, y = quad.points[:, 0], quad.points[:, 1]
-        c = sol.cell_coeffs[ci]
-        proj = (c[0]
-                + c[1] * (x - geom.centroid[0]) / geom.diameter
-                + c[2] * (y - geom.centroid[1]) / geom.diameter)
-        diff = np.asarray(problem.u(x, y)) - proj
-        e_l2 += float(quad.weights @ (diff * diff))
-        gx, gy = problem.grad_u(x, y)
-        dx = np.asarray(gx) - c[1] / geom.diameter
-        dy = np.asarray(gy) - c[2] / geom.diameter
-        e_h1 += float(quad.weights @ (dx * dx + dy * dy))
+    for ids, _, geo in mesh.cell_groups():
+        c = sol.cell_coeffs[ids]
+        c1h = (c[:, 1] / geo.diameter)[:, None]
+        c2h = (c[:, 2] / geo.diameter)[:, None]
+        for cells, x, y, w in geo.quadrature(quad_order, _POINTS_PER_PASS):
+            proj = (c[cells, 0, None]
+                    + c1h[cells] * (x - geo.centroid[cells, 0, None])
+                    + c2h[cells] * (y - geo.centroid[cells, 1, None]))
+            diff = problem.u(x, y) - proj
+            e_l2 += float(np.einsum("cq,cq,cq->", w, diff, diff))
+            gx, gy = problem.grad_u(x, y)
+            dx = gx - c1h[cells]
+            dy = gy - c2h[cells]
+            e_h1 += float(np.einsum("cq,cq->", w, dx * dx + dy * dy))
     return ErrorReport(
         h_max=mesh.max_diameter(), n_dof=mesh.n_vertices,
         err_L2=math.sqrt(e_l2), err_H1=math.sqrt(e_h1),

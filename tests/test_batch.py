@@ -1,0 +1,200 @@
+"""The by-vertex-count cell batch against its one-cell slices, the
+assembly's error reporting, and seeded properties of the element on
+random star-shaped polygons."""
+
+import numpy as np
+import pytest
+
+from polyvem.element import (
+    ElementBatch,
+    build_element,
+    consistency_check,
+    local_load,
+)
+from polyvem.errors import InvertedSubTriangle, NonPositiveArea, VemError
+from polyvem.geometry import CellBatch, cell_geometry, fan_quadrature
+from polyvem.mesh import (
+    FAMILIES,
+    MeshFamilySpec,
+    PolygonalMesh,
+    generate,
+    validate,
+)
+from polyvem.solver import assemble, sinsin_problem
+
+STAPLE = np.array([
+    [0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [2.0, 3.0],
+    [2.0, 1.0], [1.0, 1.0], [1.0, 3.0], [0.0, 3.0],
+])
+
+
+def _rel(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_batch_matches_one_cell_slices(family):
+    mesh = generate(MeshFamilySpec(family, 4, seed=3))
+    worst = 0.0
+    for ids, _, geo in mesh.cell_groups():
+        el = ElementBatch.of(geo)
+        (_, x, y, w), = geo.quadrature(4)
+        for k, ci in enumerate(ids):
+            verts = mesh.cell_vertices(ci)
+            g = cell_geometry(verts)
+            one = build_element(g)
+            quad = fan_quadrature(verts, order=4)
+            worst = max(
+                worst,
+                _rel(geo.area[k], g.area),
+                _rel(geo.centroid[k], g.centroid),
+                _rel(geo.diameter[k], g.diameter),
+                _rel(np.column_stack([x[k], y[k]]), quad.points),
+                _rel(w[k], quad.weights),
+                _rel(el.K[k], one.K),
+                _rel(el.Pi_star[k], one.Pi_star),
+            )
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_batched_load_matches_one_cell_loads(family):
+    mesh = generate(MeshFamilySpec(family, 4, seed=3))
+    p = sinsin_problem()
+    _, b = assemble(mesh, p)
+    expected = np.zeros(mesh.n_vertices)
+    for ci, loop in enumerate(mesh.cells):
+        verts = mesh.cell_vertices(ci)
+        expected[loop] += local_load(cell_geometry(verts),
+                                     fan_quadrature(verts, order=4), p.f)
+    assert _rel(b, expected) <= 1e-14
+
+
+def test_max_diameter_is_the_largest_cell_diameter():
+    for family in FAMILIES:
+        mesh = generate(MeshFamilySpec(family, 4, seed=2))
+        h = max(cell_geometry(mesh.cell_vertices(ci)).diameter
+                for ci in range(mesh.n_cells))
+        assert mesh.max_diameter() == h
+
+
+def _two_bad_cells():
+    """Hexagon mesh with one non-star cell and, at a higher index but in
+    a group of fewer vertices, one clockwise cell."""
+    mesh = generate(MeshFamilySpec("hexagon", 4))
+    sizes = [len(c) for c in mesh.cells]
+    low = sizes.index(6)
+    high = next(ci for ci in range(low + 1, mesh.n_cells) if sizes[ci] < 6)
+    base = mesh.vertices[mesh.cells[low]].min(axis=0)
+    vertices = np.vstack([mesh.vertices, base + 0.01 * STAPLE])
+    cells = [list(c) for c in mesh.cells]
+    cells[low] = list(range(mesh.n_vertices, mesh.n_vertices + len(STAPLE)))
+    cells[high] = cells[high][::-1]
+    return PolygonalMesh(vertices, cells), low, high
+
+
+def test_assembly_reports_the_lowest_failing_cell():
+    mesh, low, high = _two_bad_cells()
+    with pytest.raises(InvertedSubTriangle,
+                       match=rf"^cell {low}: fan triangle"):
+        assemble(mesh, sinsin_problem())
+    cells = [list(c) for c in mesh.cells]
+    cells[low] = list(np.array(cells[low])[[0, 7, 6, 5, 4, 3, 2, 1]])
+    clockwise = PolygonalMesh(mesh.vertices, cells)
+    with pytest.raises(NonPositiveArea, match=rf"^cell {low}: signed area"):
+        assemble(clockwise, sinsin_problem())
+
+
+def test_validate_lists_each_bad_cell_once_in_order():
+    mesh, low, high = _two_bad_cells()
+    cell_lines = [v for v in validate(mesh).violations if v.startswith("cell")]
+    assert cell_lines == [
+        f"cell {low}: not star-shaped with respect to its centroid",
+        f"cell {high}: non-positive area (clockwise or degenerate)",
+    ]
+
+
+@pytest.mark.filterwarnings("error")
+def test_degenerate_cells_raise_no_numpy_warnings():
+    verts = [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    cells = [[0, 1, 2], [0, 2, 3, 4]]  # a flat triangle and a good quad
+    mesh = PolygonalMesh(verts, cells)
+    assert validate(mesh).violations[0].startswith("cell 0: non-positive")
+    with pytest.raises(NonPositiveArea, match="^cell 0: "):
+        assemble(mesh, sinsin_problem())
+    batch = CellBatch(np.array([[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]))
+    assert batch.faulty().all()
+    assert ElementBatch.of(batch).singular.all()
+
+
+# ---------------------------------------------------------------------------
+# seeded properties on random star-shaped polygons
+
+
+def _random_polygons(rng, count):
+    """Star-shaped polygons around the origin with 3 to 8 vertices whose
+    centroid-fan triangles are all positive."""
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(3, 9))
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        gaps = np.diff(np.r_[angles, angles[0] + 2.0 * np.pi])
+        if gaps.min() < 0.1 or gaps.max() > 0.9 * np.pi:
+            continue
+        r = rng.uniform(0.6, 1.0, n)
+        poly = np.column_stack([r * np.cos(angles), r * np.sin(angles)])
+        if not CellBatch(poly[None]).faulty()[0]:
+            out.append(poly)
+    return out
+
+
+def _stiffness(poly, nu_policy):
+    return build_element(cell_geometry(poly), nu_policy=nu_policy).K
+
+
+@pytest.mark.parametrize("nu_policy", ["unit", "trace"])
+def test_stiffness_invariant_under_similarity_maps(nu_policy):
+    rng = np.random.default_rng(20240611)
+    for poly in _random_polygons(rng, 40):
+        K = _stiffness(poly, nu_policy)
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        rot = np.array([[np.cos(theta), -np.sin(theta)],
+                        [np.sin(theta), np.cos(theta)]])
+        shift = rng.uniform(-10.0, 10.0, 2)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        for mapped in (poly + shift, poly @ rot.T, scale * poly,
+                       scale * poly @ rot.T + shift):
+            assert _rel(_stiffness(mapped, nu_policy), K) <= 1e-11
+
+
+def test_stiffness_rank_and_kernel_on_random_polygons():
+    rng = np.random.default_rng(7)
+    for poly in _random_polygons(rng, 60):
+        g = cell_geometry(poly)
+        el = build_element(g)
+        n = len(poly)
+        scale = np.linalg.norm(el.K)
+        w = np.linalg.eigvalsh(el.K)
+        assert abs(w[0]) <= 1e-12 * scale
+        assert w[1] > 1e-10 * scale
+        assert np.abs(el.K @ np.ones(n)).max() <= 1e-12 * scale
+        assert consistency_check(el.K, el.D, el.B) <= 1e-12 * scale
+
+
+def test_batch_of_random_polygons_matches_one_cell_path():
+    rng = np.random.default_rng(11)
+    polys = [p for p in _random_polygons(rng, 80) if len(p) == 5]
+    geo = CellBatch(np.array(polys))
+    el = ElementBatch.of(geo, "trace")
+    for k, poly in enumerate(polys):
+        one = build_element(cell_geometry(poly), nu_policy="trace")
+        assert _rel(el.K[k], one.K) <= 1e-14
+        assert el.nu[k] == pytest.approx(one.nu, rel=1e-14)
+
+
+def test_one_cell_errors_keep_their_types():
+    with pytest.raises(InvertedSubTriangle):
+        fan_quadrature(STAPLE)
+    with pytest.raises(VemError):
+        cell_geometry(STAPLE[::-1])

@@ -73,6 +73,21 @@ def test_run_from_mesh_file(tmp_path, capsys):
     assert record["err_H1"] <= 1e-10
 
 
+def test_run_rejects_non_finite_mesh_file(tmp_path, capsys):
+    mesh_file = tmp_path / "nan.json"
+    mesh_file.write_text('{"vertices": [[0,0],[1,0],[1,1],[0,NaN]], '
+                         '"cells": [[0,1,2,3]]}')
+    assert main(["run", "--mesh", str(mesh_file), "--problem", "patch"]) == 1
+    assert "vertex 3 has a non-finite coordinate" in capsys.readouterr().err
+
+
+def test_run_rejects_mesh_without_cells(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"vertices": [], "cells": []}\n')
+    assert main(["run", "--mesh", str(empty), "--problem", "sinsin"]) == 1
+    assert "no cells" in capsys.readouterr().err
+
+
 def test_study_csv(tmp_path):
     out = tmp_path / "study.csv"
     assert main(["study", "--family", "quad", "--n", "4", "--levels", "2",

@@ -41,6 +41,20 @@ def test_from_triplets_rejects_bad_index():
         SparseSymMatrix.from_triplets(2, [0, 2], [0, 2], [1.0, 1.0])
 
 
+def test_from_triplets_with_no_triplets_is_empty():
+    A = SparseSymMatrix.from_triplets(3, [], [], [])
+    assert A.n == 3 and A.nnz == 0
+    assert np.array_equal(A.indptr, np.zeros(4))
+    assert np.array_equal(A.to_dense(), np.zeros((3, 3)))
+    assert np.array_equal(A @ np.ones(3), np.zeros(3))
+
+
+def test_restrict_to_rows_without_entries():
+    A = SparseSymMatrix.from_triplets(3, [0, 2], [0, 2], [1.0, 2.0])
+    S = A.restrict(np.array([1]))
+    assert S.n == 1 and S.nnz == 0
+
+
 def test_matvec_matches_dense():
     rng = np.random.default_rng(7)
     d = rng.standard_normal((8, 8))

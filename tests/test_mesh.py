@@ -222,6 +222,20 @@ def test_json_rejects_degenerate_cell(tmp_path):
         read_json(p)
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_json_rejects_non_finite_coordinates(tmp_path, bad):
+    p = tmp_path / "nan.json"
+    p.write_text('{"vertices": [[0,0],[1,0],[1,%s],[0,1]], '
+                 '"cells": [[0,1,2,3]]}' % bad)
+    with pytest.raises(ValidationError, match="vertex 2 has a non-finite"):
+        read_json(p)
+
+
+def test_mesh_rejects_non_finite_coordinates():
+    with pytest.raises(ValidationError, match="vertex 1"):
+        PolygonalMesh([[0.0, 0.0], [np.nan, 0.0], [0.0, 1.0]], [[0, 1, 2]])
+
+
 def test_json_ignores_unknown_keys(tmp_path):
     p = tmp_path / "extra.json"
     p.write_text('{"vertices": [[0,0],[1,0],[0,1]], "cells": [[0,1,2]],'
