@@ -11,11 +11,12 @@ two matrices act identically on linear data) and for stability
 (generalized eigenvalue bounds).
 
 On a triangle the lifting is exact and the reference matrix collapses
-to the classical P1 stiffness, which is also exposed directly together
-with a global P1 solve for cross-checking whole pipelines on
-triangular meshes.
+to the classical P1 stiffness.  p1_stiffness computes it for a whole
+stack of triangles in one vectorized pass; the sub-triangulation uses
+it, and so does the global P1 solve on triangular meshes, which is the
+production solve with p1_stiffness as its local stiffness.
 
-None of this feeds the production solve path; it is verification
+None of this feeds the production VEM solve; it is verification
 machinery only.
 """
 
@@ -23,17 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .element import StabilityConstants, local_load
-from .errors import (
-    DegenerateTriangle,
-    EmptyInterior,
-    InvertedSubTriangle,
-    NoConvergence,
-)
-from .geometry import cell_geometry, fan_quadrature, polygon_diameter
+from .element import StabilityConstants
+from .errors import DegenerateTriangle, InvertedSubTriangle, NoConvergence
+from .geometry import cell_geometry
 from .linalg import SparseSymMatrix, cg_solve, generalized_eig_bounds
-from .mesh import boundary_vertices
-from .solver import SolveOptions, apply_dirichlet
+from .solver import solve
 
 MAX_LEVELS = 5
 
@@ -126,31 +121,34 @@ def subtriangulate(poly, levels):
     )
 
 
-def p1_stiffness(triangle):
-    """Exact stiffness of the linear element on one triangle."""
-    tri = np.asarray(triangle, dtype=float)
-    if tri.shape != (3, 2):
+def p1_stiffness(triangles):
+    """Exact stiffness of the linear element on each triangle of a stack.
+
+    A (3, 2) triangle gives its (3, 3) matrix, a (..., 3, 2) stack the
+    (..., 3, 3) matrices. Raises DegenerateTriangle for the first
+    triangle whose doubled area is not above 1e-14 times its squared
+    diameter.
+    """
+    tri = np.asarray(triangles, dtype=float)
+    if tri.shape[-2:] != (3, 2):
         raise ValueError(f"expected 3 vertices, got shape {tri.shape}")
-    x, y = tri[:, 0], tri[:, 1]
-    # hat gradients are constant: grad lambda_i = (b_i, c_i) / (2A)
-    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
-    c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
-    area2 = x[0] * b[0] + x[1] * b[1] + x[2] * b[2]
-    if area2 <= 1e-14 * polygon_diameter(tri) ** 2:
-        raise DegenerateTriangle(f"signed doubled area {area2:.3e}")
-    return (np.outer(b, b) + np.outer(c, c)) / (2.0 * area2)
+    # e_i is the edge opposite vertex i; the hat gradients are constant,
+    # grad lambda_i = e_i rotated by 90 degrees / (2A)
+    e = tri[..., [2, 0, 1], :] - tri[..., [1, 2, 0], :]
+    area2 = -(tri[..., 0] * e[..., 1]).sum(axis=-1)
+    bad = np.flatnonzero(area2 <= 1e-14 * (e * e).sum(axis=-1).max(axis=-1))
+    if bad.size:
+        raise DegenerateTriangle(
+            f"signed doubled area {area2.flat[bad[0]]:.3e}")
+    ee = (e[..., :, None, :] * e[..., None, :, :]).sum(axis=-1)
+    return ee / (2.0 * area2)[..., None, None]
 
 
 def _submesh_stiffness(sub):
-    rows, cols, vals = [], [], []
-    for t in sub.triangles:
-        k = p1_stiffness(sub.points[t])
-        rows.append(np.repeat(t, 3))
-        cols.append(np.tile(t, 3))
-        vals.append(k.ravel())
+    t = sub.triangles
     return SparseSymMatrix.from_triplets(
-        len(sub.points), np.concatenate(rows), np.concatenate(cols),
-        np.concatenate(vals))
+        len(sub.points), np.repeat(t, 3, axis=1), np.tile(t, (1, 3)),
+        p1_stiffness(sub.points[t]))
 
 
 def harmonic_stiffness(poly, levels=3):
@@ -186,44 +184,16 @@ def stability_report(poly, K_vem, levels=3):
 def p1_global_solve(mesh, problem, options=None):
     """Classical P1 solve on an all-triangle mesh.
 
-    Uses the same right-hand side rule (cell average of the load
-    spread evenly over the vertices) and the same boundary treatment
-    as the polygonal driver, so a comparison against it exercises only
-    the element matrices.
+    The production solve with p1_stiffness as the local stiffness: the
+    right-hand side rule (cell average of the load spread evenly over the
+    vertices), the boundary treatment and CG are the polygonal driver's,
+    so a comparison against it exercises only the element matrices.
     """
-    options = options or SolveOptions()
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(mesh.n_vertices)
-    for ci in range(mesh.n_cells):
-        loop = mesh.cells[ci]
-        if len(loop) != 3:
-            raise ValueError(
-                f"cell {ci} has {len(loop)} vertices; p1_global_solve "
-                "needs an all-triangle mesh")
-        verts = mesh.cell_vertices(ci)
-        k = p1_stiffness(verts)
-        geom = cell_geometry(verts)
-        quad = fan_quadrature(verts, order=options.quad_order)
-        rhs[loop] += local_load(geom, quad, problem.f)
-        rows.append(np.repeat(loop, 3))
-        cols.append(np.tile(loop, 3))
-        vals.append(k.ravel())
-    A = SparseSymMatrix.from_triplets(
-        mesh.n_vertices, np.concatenate(rows), np.concatenate(cols),
-        np.concatenate(vals))
-    dofs = np.zeros(mesh.n_vertices)
-    try:
-        system = apply_dirichlet(A, rhs, mesh, problem.g)
-    except EmptyInterior:
-        bnd = boundary_vertices(mesh)
-        dofs[bnd] = problem.g(mesh.vertices[bnd, 0], mesh.vertices[bnd, 1])
-        return dofs
-    result = cg_solve(system.matrix, system.rhs, tol=options.tol,
-                      max_iter=options.max_iter)
-    if not result.converged:
-        raise NoConvergence(
-            f"CG stalled at relative residual {result.residual:.3e} "
-            f"after {result.iterations} iterations")
-    dofs[:] = system.lift
-    dofs[system.interior] = result.x
-    return dofs
+    odd = [ids[0] for ids, loops, _ in mesh.cell_groups()
+           if loops.shape[1] != 3]
+    if odd:
+        ci = min(odd)
+        raise ValueError(
+            f"cell {ci} has {len(mesh.cells[ci])} vertices; p1_global_solve "
+            "needs an all-triangle mesh")
+    return solve(mesh, problem, options, stiffness=p1_stiffness).dof_values

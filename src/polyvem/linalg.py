@@ -88,7 +88,9 @@ class SparseSymMatrix:
     def matvec(self, x):
         x = np.asarray(x, dtype=float)
         prod = self.data * x[self.indices]
-        return np.bincount(self._row_of, weights=prod, minlength=self.n)
+        # bincount gives int64 when there are no weights at all
+        return np.bincount(self._row_of, weights=prod,
+                           minlength=self.n).astype(float, copy=False)
 
     def __matmul__(self, x):
         return self.matvec(x)
@@ -169,11 +171,9 @@ def cg_solve(A, b, tol=1e-12, max_iter=None):
     return CGResult(x, max_iter, float(np.linalg.norm(r)) / nb, False)
 
 
-def dense_sym_eigen(M, compute_vectors=False, max_sweeps=100):
-    """Eigen-decomposition of a dense symmetric matrix by cyclic Jacobi.
+def dense_sym_eigen(M, compute_vectors=False):
+    """Eigen-decomposition of a dense symmetric matrix (LAPACK via eigh).
 
-    Sweeps rotate out every off-diagonal pair in a fixed order until the
-    off-diagonal Frobenius norm falls below 1e-12 times the matrix norm.
     Returns ascending eigenvalues (and, on request, the orthonormal
     eigenvector columns in matching order).
     """
@@ -181,62 +181,15 @@ def dense_sym_eigen(M, compute_vectors=False, max_sweeps=100):
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("matrix must be square")
+    if not np.isfinite(A).all():
+        raise NoConvergence("eigensolver input is not finite")
     norm = float(np.linalg.norm(A))
     if norm > 0 and np.abs(A - A.T).max() > 1e-12 * norm:
         raise AsymmetricMatrix("eigensolver input is not symmetric")
     A = 0.5 * (A + A.T)
-    V = np.eye(n) if compute_vectors else None
-    if norm == 0.0 or n == 1:
-        w = np.diag(A).copy()
-        order = np.argsort(w, kind="stable")
-        return (w[order], V[:, order]) if compute_vectors else w[order]
-
-    def _off_norm(mat):
-        # sum the off-diagonal squares directly; subtracting the diagonal
-        # from the full Frobenius norm cancels catastrophically near
-        # convergence and stalls one sweep too early
-        off = mat - np.diag(np.diag(mat))
-        return float(np.linalg.norm(off))
-
-    tol = 1e-12 * norm
-    converged = False
-    for _ in range(max_sweeps):
-        off = _off_norm(A)
-        if off <= tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-30 * norm:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                if tau == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # A <- J^T A J with the rotation in the (p, q) plane
-                col_p, col_q = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p, row_q = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = A[q, p] = 0.0
-                if compute_vectors:
-                    vp, vq = V[:, p].copy(), V[:, q].copy()
-                    V[:, p] = c * vp - s * vq
-                    V[:, q] = s * vp + c * vq
-    if not converged:
-        off = _off_norm(A)
-        if off > tol:
-            raise NoConvergence(
-                f"Jacobi sweeps did not reduce off-diagonal norm "
-                f"({off:.3e} > {tol:.3e} after {max_sweeps} sweeps)")
-    w = np.diag(A).copy()
-    order = np.argsort(w, kind="stable")
-    return (w[order], V[:, order]) if compute_vectors else w[order]
+    if compute_vectors:
+        return np.linalg.eigh(A)
+    return np.linalg.eigvalsh(A)
 
 
 def _complement_basis(kernel):

@@ -267,7 +267,7 @@ def validate(mesh):
     if mesh.n_vertices:
         lo = mesh.vertices.min(axis=0)
         hi = mesh.vertices.max(axis=0)
-        tol = 1e-12 * float(np.linalg.norm(hi - lo))
+        tol = 1e-12 * float(np.hypot(*(hi - lo)))
         if tol > 0 and _may_have_close_pair(mesh.vertices, tol):
             bins = {}
             for vi, (x, y) in enumerate(mesh.vertices):
@@ -565,7 +565,18 @@ def read_json(path):
             raise ParseError(f"cells[{k}] must be an array of integer indices")
 
     try:
-        mesh = PolygonalMesh(np.array(verts, dtype=float).reshape(-1, 2), cells)
+        xy = np.array(verts, dtype=float).reshape(-1, 2)
+    except OverflowError:
+        # an integer beyond the float range; name the first such vertex
+        for k, p in enumerate(verts):
+            try:
+                np.array(p, dtype=float)
+            except OverflowError:
+                raise ValidationError(
+                    f"vertex {k} has a coordinate too large for a "
+                    "float") from None
+    try:
+        mesh = PolygonalMesh(xy, cells)
     except IndexOutOfRange as e:
         raise ValidationError(str(e)) from None
     report = validate(mesh)

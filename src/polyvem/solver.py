@@ -145,9 +145,11 @@ def _integrals(geo, f, quad_order):
     return out
 
 
-def _assemble_parts(mesh, problem, nu_policy, quad_order):
+def _assemble_parts(mesh, problem, nu_policy, quad_order, stiffness=None):
     """One batched pass per vertex count: stiffness triplets, load and
-    the projector of every cell, as (ids, loops, Pi_star) per group."""
+    the projector of every cell, as (ids, loops, Pi_star) per group.
+    The local stiffness of a group is stiffness(vertices (C, N, 2)), or
+    the element's K when stiffness is None."""
     if mesh.n_cells == 0:
         raise ValidationError("mesh has no cells")
     rows, cols, vals, at, load = [], [], [], [], []
@@ -165,7 +167,8 @@ def _assemble_parts(mesh, problem, nu_policy, quad_order):
         n = loops.shape[1]
         rows.append(np.repeat(loops, n, axis=1).ravel())
         cols.append(np.tile(loops, (1, n)).ravel())
-        vals.append(el.K.ravel())
+        K = el.K if stiffness is None else stiffness(geo.vertices)
+        vals.append(K.ravel())
         at.append(loops.ravel())
         load.append(np.repeat(_integrals(geo, problem.f, quad_order) / n, n))
         projectors.append((ids, loops, el.Pi_star))
@@ -216,12 +219,18 @@ def apply_dirichlet(A, b, mesh, g):
         interior=interior, boundary=bnd, lift=lift)
 
 
-def solve(mesh, problem, options=None):
-    """Assemble, apply boundary conditions, and CG-solve one problem."""
+def solve(mesh, problem, options=None, stiffness=None):
+    """Assemble, apply boundary conditions, and CG-solve one problem.
+
+    stiffness maps the (C, N, 2) vertex stack of the cells with N
+    vertices to their (C, N, N) local stiffness matrices; None means the
+    virtual element's. Everything else (load, checks, boundary
+    conditions, CG, projection) is the same for any provider.
+    """
     opts = options or SolveOptions()
     t0 = time.perf_counter()
     A, b, projectors = _assemble_parts(
-        mesh, problem, opts.nu_policy, opts.quad_order)
+        mesh, problem, opts.nu_policy, opts.quad_order, stiffness)
     try:
         system = apply_dirichlet(A, b, mesh, problem.g)
         res = cg_solve(system.matrix, system.rhs,

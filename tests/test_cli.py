@@ -81,6 +81,14 @@ def test_run_rejects_non_finite_mesh_file(tmp_path, capsys):
     assert "vertex 3 has a non-finite coordinate" in capsys.readouterr().err
 
 
+def test_run_rejects_mesh_with_oversized_coordinate(tmp_path, capsys):
+    mesh_file = tmp_path / "huge.json"
+    mesh_file.write_text('{"vertices": [[0,0],[1,0],[1,1],[0,%s]], '
+                         '"cells": [[0,1,2,3]]}' % ("1" * 400))
+    assert main(["run", "--mesh", str(mesh_file), "--problem", "patch"]) == 1
+    assert "vertex 3 has a coordinate too large" in capsys.readouterr().err
+
+
 def test_run_rejects_mesh_without_cells(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text('{"vertices": [], "cells": []}\n')

@@ -12,7 +12,12 @@ from polyvem.harmonic_fem import (
     subtriangulate,
 )
 from polyvem.linalg import dense_sym_eigen
-from polyvem.mesh import MeshFamilySpec, boundary_vertices, generate
+from polyvem.mesh import (
+    MeshFamilySpec,
+    PolygonalMesh,
+    boundary_vertices,
+    generate,
+)
 from polyvem.solver import SolveOptions, patch_problem, sinsin_problem, solve
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -125,6 +130,23 @@ def test_p1_stiffness_degenerate():
         p1_stiffness([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
 
 
+def test_p1_stiffness_batch_matches_one_triangle_calls():
+    sub = subtriangulate(PENTAGON, 2)
+    stack = sub.points[sub.triangles]
+    batch = p1_stiffness(stack)
+    assert batch.shape == (len(stack), 3, 3)
+    for t, k in zip(stack, batch):
+        one = p1_stiffness(t)
+        assert np.abs(k - one).max() <= 1e-15 * np.abs(one).max()
+
+
+def test_p1_stiffness_batch_rejects_one_degenerate_triangle():
+    flat = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
+    stack = np.array([TRIANGLE, TRIANGLE, flat, TRIANGLE])
+    with pytest.raises(DegenerateTriangle):
+        p1_stiffness(stack)
+
+
 def test_triangle_lifting_is_exact():
     expected = p1_stiffness(TRIANGLE)
     for levels in (0, 2):
@@ -230,6 +252,17 @@ def test_p1_global_matches_driver():
 def test_p1_global_needs_triangles():
     mesh = generate(MeshFamilySpec("quad", 4))
     with pytest.raises(ValueError):
+        p1_global_solve(mesh, sinsin_problem())
+
+
+def test_p1_global_names_lowest_non_triangle_cell():
+    # groups run by vertex count, so the quad (cell 2) is grouped before
+    # the pentagon (cell 1); the message must still name cell 1
+    vertices = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                [2.0, 1.0], [1.5, 1.0], [0.0, 2.0], [1.0, 2.0]]
+    cells = [[0, 1, 4], [1, 2, 5, 6, 4], [3, 4, 8, 7], [0, 4, 3]]
+    mesh = PolygonalMesh(vertices, cells)
+    with pytest.raises(ValueError, match="cell 1 has 5 vertices"):
         p1_global_solve(mesh, sinsin_problem())
 
 

@@ -5,6 +5,7 @@ from polyvem.errors import (
     AsymmetricMatrix,
     IndexOutOfRange,
     KernelMismatch,
+    NoConvergence,
     ZeroDiagonal,
 )
 from polyvem.linalg import (
@@ -47,6 +48,7 @@ def test_from_triplets_with_no_triplets_is_empty():
     assert np.array_equal(A.indptr, np.zeros(4))
     assert np.array_equal(A.to_dense(), np.zeros((3, 3)))
     assert np.array_equal(A @ np.ones(3), np.zeros(3))
+    assert (A @ np.ones(3)).dtype == np.float64
 
 
 def test_restrict_to_rows_without_entries():
@@ -149,6 +151,11 @@ def test_eigen_vectors_reconstruct():
 def test_eigen_rejects_asymmetric():
     with pytest.raises(AsymmetricMatrix):
         dense_sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_eigen_rejects_non_finite():
+    with pytest.raises(NoConvergence):
+        dense_sym_eigen(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 def _path_laplacian():

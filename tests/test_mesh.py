@@ -231,6 +231,26 @@ def test_json_rejects_non_finite_coordinates(tmp_path, bad):
         read_json(p)
 
 
+def test_json_rejects_coordinates_beyond_float_range(tmp_path):
+    p = tmp_path / "huge.json"
+    p.write_text('{"vertices": [[0,0],[1,0],[1,%s],[0,1]], '
+                 '"cells": [[0,1,2,3]]}' % ("9" * 400))
+    with pytest.raises(ValidationError, match="vertex 2 .* too large"):
+        read_json(p)
+
+
+@pytest.mark.filterwarnings("error")
+def test_json_huge_coordinates_report_no_close_vertices(tmp_path):
+    # the closeness tolerance scales with the bounding box diagonal,
+    # which must not overflow for coordinates near 1e300
+    mesh = generate(MeshFamilySpec("quad", 2))
+    p = tmp_path / "scaled.json"
+    write_json(PolygonalMesh(mesh.vertices * 1e300, mesh.cells), p)
+    with pytest.raises(ValidationError) as info:
+        read_json(p)
+    assert "closer than" not in str(info.value)
+
+
 def test_mesh_rejects_non_finite_coordinates():
     with pytest.raises(ValidationError, match="vertex 1"):
         PolygonalMesh([[0.0, 0.0], [np.nan, 0.0], [0.0, 1.0]], [[0, 1, 2]])
