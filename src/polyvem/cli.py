@@ -14,7 +14,7 @@ import sys
 from .element import NU_POLICIES, build_element, consistency_check
 from .errors import ValidationError, VemError
 from .geometry import cell_geometry
-from .harmonic_fem import stability_report
+from .harmonic_fem import MAX_LEVELS, stability_report
 from .mesh import FAMILIES, MeshFamilySpec, generate, read_json, to_json_text
 from .solver import (
     PROBLEMS,
@@ -93,6 +93,7 @@ def build_parser():
     p.add_argument("--nu-policy", choices=NU_POLICIES, default="unit",
                    help="stabilization scaling (default unit)")
     p.add_argument("--oracle-levels", type=int, default=3,
+                   choices=range(MAX_LEVELS + 1),
                    help="reference refinement depth 0..5 (default 3)")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="CSV output file (default: stdout)")

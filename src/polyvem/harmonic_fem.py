@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .element import StabilityConstants
-from .errors import DegenerateTriangle, InvertedSubTriangle, NoConvergence
-from .geometry import cell_geometry
+from .errors import DegenerateTriangle, NoConvergence
+from .geometry import _one_cell, _raise
 from .linalg import SparseSymMatrix, cg_solve, generalized_eig_bounds
 from .solver import solve
 
@@ -62,62 +62,48 @@ class OracleStiffness:
 
 
 def subtriangulate(poly, levels):
-    """Fan a polygon from its centroid, then refine 4-way `levels` times."""
+    """Fan a polygon from its centroid c, then refine 4-way `levels` times.
+
+    With m = 2**levels, fan triangle i (c, v_i, v_{i+1}) holds the nodes
+    (i, a, b), a, b >= 0, a + b <= m, at (a v_i + b v_{i+1} + (m-a-b) c)/m.
+    Node (i, 0, b) is (i+1, b, 0), so (i, 0, 0) is c; a + b = m is edge i.
+    Rows 0..N-1 are the vertices (i, m, 0), row N is c, then come the
+    nodes a >= 1 of each fan triangle in turn. A polygon that is
+    degenerate or not star-shaped about c raises CellBatch's error.
+    """
     if not 0 <= levels <= MAX_LEVELS:
         raise ValueError(f"levels must be in [0, {MAX_LEVELS}], got {levels}")
-    geom = cell_geometry(poly)
-    n = geom.n_vertices
-    points = list(map(tuple, geom.vertices))
-    points.append(tuple(geom.centroid))
-    tri_scale = 1e-14 * geom.diameter ** 2
-    triangles = []
-    for i in range(n):
-        j = (i + 1) % n
-        a, b = geom.vertices[i], geom.vertices[j]
-        c = geom.centroid
-        area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if area2 <= tri_scale:
-            raise InvertedSubTriangle(
-                f"fan triangle at vertex {i} has area {area2 / 2:.3e}")
-        triangles.append((i, j, n))
-    trace = [np.eye(n)[:, i] for i in range(n)] + [np.zeros(n)]
-    boundary_edges = {(min(i, (i + 1) % n), max(i, (i + 1) % n))
-                      for i in range(n)}
-
-    for _ in range(levels):
-        midpoint = {}
-
-        def split(a, b):
-            key = (min(a, b), max(a, b))
-            if key not in midpoint:
-                pa, pb = points[a], points[b]
-                points.append(((pa[0] + pb[0]) / 2, (pa[1] + pb[1]) / 2))
-                if key in boundary_edges:
-                    trace.append((trace[a] + trace[b]) / 2)
-                    boundary_edges.discard(key)
-                    m = len(points) - 1
-                    boundary_edges.add((min(a, m), max(a, m)))
-                    boundary_edges.add((min(b, m), max(b, m)))
-                else:
-                    trace.append(np.zeros(n))
-                midpoint[key] = len(points) - 1
-            return midpoint[key]
-
-        refined = []
-        for a, b, c in triangles:
-            ab, bc, ca = split(a, b), split(b, c), split(c, a)
-            refined += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-        triangles = refined
-
-    m = len(points)
-    boundary = np.zeros(m, dtype=bool)
-    for a, b in boundary_edges:
-        boundary[a] = boundary[b] = True
+    geo = _one_cell(poly)
+    _raise(geo.edge_error(0) or geo.area_error(0) or geo.fan_error(0))
+    v, c = geo.vertices[0], geo.centroid[0]
+    n, m = len(v), 2 ** levels
+    nxt = np.r_[1:n, 0]
+    # the m(m+1)/2 nodes a >= 1 of one fan triangle: first the m nodes on
+    # the edge, (m, 0) leading
+    r, col = np.triu_indices(m)
+    a, b = m - col, col - r
+    own = n + np.arange(n)[:, None] * (len(a) - 1) + np.arange(len(a))
+    own[:, 0] = np.arange(n)
+    points = np.empty((n * len(a) + 1, 2))
+    points[own] = (a[:, None] * v[:, None] + b[:, None] * v[nxt, None]
+                   + (m - a - b)[:, None] * c) / m
+    points[n] = c
+    lattice = np.empty((n, m + 1, m + 1), dtype=np.int64)
+    lattice[:, a, b] = own
+    lattice[:, 0, 1:] = lattice[nxt, 1:, 0]
+    lattice[:, 0, 0] = n
+    # node (a, b) gives the upward triangle (a, b), (a-1, b+1), (a-1, b)
+    # and, off the edge, the downward one (a, b+1), (a-1, b+1), (a, b)
+    ta = np.r_[np.c_[a, a - 1, a - 1], np.c_[a, a - 1, a][m:]]
+    tb = np.r_[np.c_[b, b + 1, b], np.c_[b + 1, b + 1, b][m:]]
+    trace = np.zeros((n, len(points)))
+    trace[np.arange(n)[:, None], own[:, :m]] = a[:m] / m
+    trace[nxt[:, None], own[:, :m]] = b[:m] / m
     return SubTriangulation(
-        points=np.array(points, dtype=float),
-        triangles=np.array(triangles, dtype=np.int64),
-        boundary=boundary,
-        trace=np.array(trace).T.copy(),
+        points=points,
+        triangles=lattice[:, ta, tb].reshape(-1, 3),
+        boundary=trace.any(axis=0),
+        trace=trace,
     )
 
 

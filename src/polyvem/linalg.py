@@ -21,20 +21,6 @@ from .errors import (
 _DROP_TOL = 1e-300
 
 
-def _canonical(n, rows, cols, values):
-    """Sort triplets by (row, col) and sum duplicates."""
-    keys = rows.astype(np.int64) * n + cols
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    vals = values[order]
-    if not len(keys):
-        return keys, keys, vals
-    starts = np.r_[0, np.nonzero(np.diff(keys))[0] + 1]
-    sums = np.add.reduceat(vals, starts)
-    kept = keys[starts]
-    return kept // n, kept % n, sums
-
-
 class SparseSymMatrix:
     """Symmetric sparse matrix in CSR form, full (not triangular) storage."""
 
@@ -62,24 +48,33 @@ class SparseSymMatrix:
                           or cols.min() < 0 or cols.max() >= n):
             raise IndexOutOfRange(f"triplet index outside [0, {n})")
 
-        r, c, v = _canonical(n, rows, cols, values)
+        keys = rows * n + cols
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        keys = keys[starts]
+        v = np.add.reduceat(values[order], starts) if len(keys) else values
+        r, c = np.divmod(keys, n)
 
-        # symmetry: merging A with -A^T must cancel to round-off
+        # symmetry: R = A - A^T must vanish to round-off; an entry whose
+        # mirror is absent stands for R[r, c] = v and R[c, r] = -v
+        mirror = c * n + r
+        at = np.minimum(np.searchsorted(keys, mirror), len(keys) - 1)
+        resid = np.where(keys[at] == mirror, v - v[at], v)
         vmax = float(np.abs(v).max()) if len(v) else 0.0
-        _, _, resid = _canonical(
-            n, np.r_[r, c], np.r_[c, r], np.r_[v, -v])
-        if len(resid) and vmax > 0 and np.abs(resid).max() > 1e-14 * vmax:
-            worst = int(np.abs(resid).argmax())
+        if vmax > 0 and np.abs(resid).max() > 1e-14 * vmax:
+            # R is antisymmetric: its first worst entry in (row, col)
+            # order lies above the diagonal
+            hit = np.flatnonzero(np.abs(resid) == np.abs(resid).max())
+            k = hit[np.where(r < c, keys, mirror)[hit].argmin()]
+            worst = resid[k] if r[k] < c[k] else -resid[k]
             raise AsymmetricMatrix(
-                f"triplets are not symmetric (residual {resid[worst]:.3e} "
+                f"triplets are not symmetric (residual {worst:.3e} "
                 f"against max entry {vmax:.3e})")
 
         keep = np.abs(v) >= _DROP_TOL
-        r, c, v = r[keep], c[keep], v[keep]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, r + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(n, indptr, c.astype(np.int64), v)
+        return cls(n, np.searchsorted(r[keep], np.arange(n + 1)),
+                   c[keep], v[keep])
 
     @property
     def nnz(self):
@@ -107,16 +102,19 @@ class SparseSymMatrix:
         return a
 
     def restrict(self, keep):
-        """Submatrix on the given (sorted, unique) index set."""
+        """Principal submatrix on a strictly increasing index set: a slice
+        of sorted, unique, symmetric rows, so nothing is sorted or checked
+        again."""
         keep = np.asarray(keep, dtype=np.int64)
+        if np.any(np.diff(keep) <= 0):
+            raise ValueError("keep must be strictly increasing")
         new_id = -np.ones(self.n, dtype=np.int64)
         new_id[keep] = np.arange(len(keep))
-        mask = (new_id[self._row_of] >= 0) & (new_id[self.indices] >= 0)
-        return SparseSymMatrix.from_triplets(
-            len(keep),
-            new_id[self._row_of[mask]],
-            new_id[self.indices[mask]],
-            self.data[mask])
+        rows, cols = new_id[self._row_of], new_id[self.indices]
+        mask = (rows >= 0) & (cols >= 0)
+        return SparseSymMatrix(
+            len(keep), np.searchsorted(rows[mask], np.arange(len(keep) + 1)),
+            cols[mask], self.data[mask])
 
 
 @dataclass

@@ -227,9 +227,10 @@ def _may_have_close_pair(vertices, tol):
 
     Sorted by x, vertices split into runs wherever consecutive x differ
     by more than tol; two vertices within tol in x share a run, and in
-    that run sorted by y no gap between them exceeds tol.
+    that run sorted by y no gap between them exceeds tol. The gaps are
+    taken on halved coordinates so that they cannot overflow.
     """
-    x, y = vertices[:, 0], vertices[:, 1]
+    x, y, tol = vertices[:, 0] / 2, vertices[:, 1] / 2, tol / 2
     order = np.argsort(x, kind="stable")
     run = np.cumsum(np.r_[0, np.diff(x[order]) > tol])
     by_run = np.lexsort((y[order], run))
@@ -267,7 +268,9 @@ def validate(mesh):
     if mesh.n_vertices:
         lo = mesh.vertices.min(axis=0)
         hi = mesh.vertices.max(axis=0)
-        tol = 1e-12 * float(np.hypot(*(hi - lo)))
+        # quartered first: the box diagonal overflows for coordinates
+        # near +-1e308; scaling by 4 is exact, so tol is unchanged elsewhere
+        tol = 4e-12 * float(np.hypot(*(hi / 4 - lo / 4)))
         if tol > 0 and _may_have_close_pair(mesh.vertices, tol):
             bins = {}
             for vi, (x, y) in enumerate(mesh.vertices):

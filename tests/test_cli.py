@@ -126,6 +126,13 @@ def test_stability_csv(tmp_path):
         assert float(resid) <= 1e-12
 
 
+@pytest.mark.parametrize("levels", ["-1", "9"])
+def test_stability_oracle_levels_out_of_range_is_usage_error(capsys, levels):
+    assert main(["stability", "--family", "quad", "--n", "2",
+                 "--oracle-levels", levels]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_stability_bytes_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for p in (a, b):

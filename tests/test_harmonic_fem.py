@@ -17,6 +17,7 @@ from polyvem.mesh import (
     PolygonalMesh,
     boundary_vertices,
     generate,
+    validate,
 )
 from polyvem.solver import SolveOptions, patch_problem, sinsin_problem, solve
 
@@ -24,6 +25,8 @@ SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 PENTAGON = np.array(
     [[0.0, 0.0], [3.0, 0.0], [3.0, 2.0], [1.5, 3.5], [0.0, 2.0]])
+HEXAGON = np.column_stack([np.cos(np.arange(6) * np.pi / 3),
+                           np.sin(np.arange(6) * np.pi / 3)])
 # 3x3 square with a notch cut to past the middle: not star-shaped
 # with respect to its centroid
 STAPLE = np.array([
@@ -58,6 +61,22 @@ def test_refinement_counts():
     assert len(sub.points) == 41
     assert len(sub.triangles) == 64
     assert sub.boundary.sum() == 16
+
+
+@pytest.mark.parametrize("poly", [PENTAGON, HEXAGON],
+                         ids=["pentagon", "hexagon"])
+@pytest.mark.parametrize("levels", range(6))
+def test_subtriangulation_is_a_conforming_mesh(poly, levels):
+    # a duplicated or hanging node would fail validation or add a
+    # boundary vertex that the sub-mesh does not flag
+    sub = subtriangulate(poly, levels)
+    n, m = len(poly), 2 ** levels
+    assert len(sub.points) == 1 + n * m * (m + 1) // 2
+    assert len(sub.triangles) == n * m * m
+    mesh = PolygonalMesh(sub.points, sub.triangles)
+    assert validate(mesh).ok
+    assert np.array_equal(boundary_vertices(mesh),
+                          np.flatnonzero(sub.boundary))
 
 
 def test_refined_triangles_cover_polygon():

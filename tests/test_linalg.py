@@ -32,9 +32,27 @@ def test_from_triplets_drops_tiny():
     assert A.nnz == 2
 
 
-def test_from_triplets_rejects_asymmetric():
-    with pytest.raises(AsymmetricMatrix):
-        SparseSymMatrix.from_triplets(2, [0, 0, 1], [0, 1, 1], [1.0, 0.5, 1.0])
+@pytest.mark.parametrize("rows, cols, vals, residual", [
+    pytest.param([0, 0, 1], [0, 1, 1], [1.0, 0.5, 1.0], "5.000e-01",
+                 id="missing_mirror"),
+    # the residual is reported where A - A^T first peaks in (row, col)
+    # order, here at (0, 1), so with the sign of -A[1, 0]
+    pytest.param([0, 1, 1], [0, 0, 1], [1.0, 0.5, 1.0], "-5.000e-01",
+                 id="missing_mirror_below_diagonal"),
+    pytest.param([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 0.5, 0.25, 1.0],
+                 "2.500e-01", id="unequal_mirrors"),
+    # a missing mirror below 1e-14 of the largest entry is round-off
+    pytest.param([0, 0, 1], [0, 1, 1], [1.0, 1e-15, 1.0], None,
+                 id="missing_mirror_round_off"),
+])
+def test_from_triplets_rejects_asymmetric(rows, cols, vals, residual):
+    if residual is None:
+        assert SparseSymMatrix.from_triplets(2, rows, cols, vals).nnz == 3
+        return
+    with pytest.raises(AsymmetricMatrix) as info:
+        SparseSymMatrix.from_triplets(2, rows, cols, vals)
+    assert str(info.value) == (f"triplets are not symmetric (residual "
+                               f"{residual} against max entry 1.000e+00)")
 
 
 def test_from_triplets_rejects_bad_index():
@@ -55,6 +73,33 @@ def test_restrict_to_rows_without_entries():
     A = SparseSymMatrix.from_triplets(3, [0, 2], [0, 2], [1.0, 2.0])
     S = A.restrict(np.array([1]))
     assert S.n == 1 and S.nnz == 0
+
+
+def test_restrict_matches_from_triplets_of_the_submatrix():
+    rng = np.random.default_rng(3)
+    n = 40
+    r, c = rng.integers(0, n, (2, 300))
+    v = rng.standard_normal(300)
+    A = SparseSymMatrix.from_triplets(n, np.r_[r, c], np.r_[c, r], np.r_[v, v])
+    keep = np.flatnonzero(rng.random(n) < 0.6)
+    new_id = -np.ones(n, dtype=np.int64)
+    new_id[keep] = np.arange(len(keep))
+    rows, cols = new_id[A._row_of], new_id[A.indices]
+    inside = (rows >= 0) & (cols >= 0)
+    expected = SparseSymMatrix.from_triplets(
+        len(keep), rows[inside], cols[inside], A.data[inside])
+    S = A.restrict(keep)
+    for got, want in ((S.indptr, expected.indptr),
+                      (S.indices, expected.indices), (S.data, expected.data)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("keep", [[2, 0], [0, 1, 1]])
+def test_restrict_needs_strictly_increasing_keep(keep):
+    A = SparseSymMatrix.from_triplets(3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        A.restrict(keep)
 
 
 def test_matvec_matches_dense():

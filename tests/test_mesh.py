@@ -240,12 +240,17 @@ def test_json_rejects_coordinates_beyond_float_range(tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
-def test_json_huge_coordinates_report_no_close_vertices(tmp_path):
+@pytest.mark.parametrize("scale", [
+    pytest.param(lambda v: v * 1e300, id="1e300"),
+    # the bounding box spans more than the largest float
+    pytest.param(lambda v: (2 * v - 1) * 1.5e308, id="pm1.5e308"),
+])
+def test_json_huge_coordinates_report_no_close_vertices(tmp_path, scale):
     # the closeness tolerance scales with the bounding box diagonal,
     # which must not overflow for coordinates near 1e300
     mesh = generate(MeshFamilySpec("quad", 2))
     p = tmp_path / "scaled.json"
-    write_json(PolygonalMesh(mesh.vertices * 1e300, mesh.cells), p)
+    write_json(PolygonalMesh(scale(mesh.vertices), mesh.cells), p)
     with pytest.raises(ValidationError) as info:
         read_json(p)
     assert "closer than" not in str(info.value)
