@@ -21,15 +21,48 @@ from .errors import (
 _DROP_TOL = 1e-300
 
 
+def _searchsorted(keys, needles):
+    """np.searchsorted(keys, needles), with the needles looked up in
+    sorted order: the search then walks keys forward and runs several
+    times faster on long unordered needle lists."""
+    by = np.argsort(needles)
+    at = np.empty_like(by)
+    at[by] = np.searchsorted(keys, needles[by])
+    return at
+
+
 class SparseSymMatrix:
-    """Symmetric sparse matrix in CSR form, full (not triangular) storage."""
+    """Symmetric sparse matrix in CSR form, full (not triangular) storage.
+
+    The CSR arrays are fixed once set; the matvec reads a row-padded copy
+    built alongside them."""
 
     def __init__(self, n, indptr, indices, data):
         self.n = int(n)
         self.indptr = indptr
         self.indices = indices
         self.data = data
-        self._row_of = np.repeat(np.arange(self.n), np.diff(indptr))
+        lengths = np.diff(indptr)
+        self._row_of = np.repeat(np.arange(self.n), lengths)
+        # row-padded (ELL) copy for the matvec: the first `width` entries
+        # of row i sit in row i of two (n, width) arrays, padded with
+        # column i and value 0. Padding reads the row's own x[i], so where
+        # the diagonal is stored a non-finite x[j] makes the same rows
+        # non-finite as the CSR product does. Capping width at twice the
+        # mean row length keeps one long row from padding every other;
+        # the entries past the cap go to an overflow list.
+        longest = int(lengths.max(initial=0))
+        width = min(longest, 2 * self.nnz // max(self.n, 1))
+        cols, vals, self._overflow = indices, data, None
+        if width < longest:
+            over = np.arange(self.nnz) - indptr[self._row_of] >= width
+            self._overflow = (self._row_of[over], cols[over], vals[over])
+            cols, vals = cols[~over], vals[~over]
+        filled = np.arange(width) < lengths[:, None]
+        self._ell_cols = np.repeat(np.arange(self.n)[:, None], width, 1)
+        self._ell_vals = np.zeros((self.n, width))
+        self._ell_cols[filled] = cols
+        self._ell_vals[filled] = vals
 
     @classmethod
     def from_triplets(cls, n, rows, cols, values):
@@ -59,7 +92,7 @@ class SparseSymMatrix:
         # symmetry: R = A - A^T must vanish to round-off; an entry whose
         # mirror is absent stands for R[r, c] = v and R[c, r] = -v
         mirror = c * n + r
-        at = np.minimum(np.searchsorted(keys, mirror), len(keys) - 1)
+        at = np.minimum(_searchsorted(keys, mirror), len(keys) - 1)
         resid = np.where(keys[at] == mirror, v - v[at], v)
         vmax = float(np.abs(v).max()) if len(v) else 0.0
         if vmax > 0 and np.abs(resid).max() > 1e-14 * vmax:
@@ -82,10 +115,11 @@ class SparseSymMatrix:
 
     def matvec(self, x):
         x = np.asarray(x, dtype=float)
-        prod = self.data * x[self.indices]
-        # bincount gives int64 when there are no weights at all
-        return np.bincount(self._row_of, weights=prod,
-                           minlength=self.n).astype(float, copy=False)
+        y = np.einsum("ij,ij->i", self._ell_vals, x[self._ell_cols])
+        if self._overflow is not None:
+            rows, cols, vals = self._overflow
+            y += np.bincount(rows, weights=vals * x[cols], minlength=self.n)
+        return y
 
     def __matmul__(self, x):
         return self.matvec(x)
@@ -108,6 +142,8 @@ class SparseSymMatrix:
         keep = np.asarray(keep, dtype=np.int64)
         if np.any(np.diff(keep) <= 0):
             raise ValueError("keep must be strictly increasing")
+        if len(keep) and (keep[0] < 0 or keep[-1] >= self.n):
+            raise IndexOutOfRange(f"restrict index outside [0, {self.n})")
         new_id = -np.ones(self.n, dtype=np.int64)
         new_id[keep] = np.arange(len(keep))
         rows, cols = new_id[self._row_of], new_id[self.indices]

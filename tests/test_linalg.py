@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polyvem import linalg
 from polyvem.errors import (
     AsymmetricMatrix,
     IndexOutOfRange,
@@ -10,6 +11,7 @@ from polyvem.errors import (
 )
 from polyvem.linalg import (
     SparseSymMatrix,
+    _searchsorted,
     cg_solve,
     dense_sym_eigen,
     generalized_eig_bounds,
@@ -112,6 +114,140 @@ def test_matvec_matches_dense():
     x = rng.standard_normal(8)
     assert np.allclose(A @ x, d @ x, atol=1e-14)
     assert np.allclose(A.diagonal(), np.diag(d), atol=0)
+
+
+@pytest.mark.parametrize("keep", [[-1], [3], [0, 3]])
+def test_restrict_rejects_out_of_range_index(keep):
+    A = SparseSymMatrix.from_triplets(3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0])
+    with pytest.raises(IndexOutOfRange, match=r"outside \[0, 3\)"):
+        A.restrict(keep)
+
+
+def test_restrict_to_nothing_is_empty():
+    A = SparseSymMatrix.from_triplets(3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0])
+    S = A.restrict([])
+    assert S.n == 0 and S.nnz == 0
+    assert (S @ np.zeros(0)).shape == (0,)
+
+
+def _random_symmetric(rng, n, entries, empty_rows=0):
+    r, c = rng.integers(0, n, (2, entries))
+    if empty_rows:
+        hole = rng.choice(n, empty_rows, replace=False)
+        fine = ~np.isin(r, hole) & ~np.isin(c, hole)
+        r, c = r[fine], c[fine]
+    v = rng.standard_normal(len(r))
+    return SparseSymMatrix.from_triplets(n, np.r_[r, c], np.r_[c, r],
+                                         np.r_[v, v])
+
+
+def _assert_matvec_matches_dense(A, x):
+    d = A.to_dense()
+    y = A @ x
+    assert y.dtype == np.float64 and y.shape == (A.n,)
+    # each side sums at most n products, so it is within n eps of the
+    # sum of their magnitudes (Higham, Accuracy and Stability, 3.1)
+    bound = 2 * A.n * np.finfo(float).eps * (np.abs(d) @ np.abs(x))
+    assert np.all(np.abs(y - d @ x) <= bound)
+
+
+@pytest.mark.parametrize("n, entries, empty_rows", [
+    (1, 1, 0), (7, 10, 0), (40, 300, 0), (40, 300, 15), (300, 600, 100),
+    (50, 2000, 0),
+])
+def test_matvec_matches_dense_on_random_matrices(n, entries, empty_rows):
+    rng = np.random.default_rng(n + entries + empty_rows)
+    for _ in range(5):
+        A = _random_symmetric(rng, n, entries, empty_rows)
+        x = rng.standard_normal(n)
+        _assert_matvec_matches_dense(A, x)
+        keep = np.flatnonzero(rng.random(n) < 0.5)
+        _assert_matvec_matches_dense(A.restrict(keep), x[keep])
+
+
+def test_matvec_keeps_non_finite_entries_in_the_rows_that_store_them():
+    # every row stores its diagonal, as in every matrix CG sees; the
+    # reference is the plain CSR row sum
+    rng = np.random.default_rng(4)
+    n = 60
+    r, c = rng.integers(0, n, (2, 150))
+    v = rng.standard_normal(150)
+    A = SparseSymMatrix.from_triplets(
+        n, np.r_[r, c, np.arange(n)], np.r_[c, r, np.arange(n)],
+        np.r_[v, v, np.full(n, 10.0)])
+    x = rng.standard_normal(n)
+    x[[0, 7, 33]] = [np.inf, np.nan, -np.inf]
+    csr = np.bincount(A._row_of, weights=A.data * x[A.indices], minlength=n)
+    with np.errstate(invalid="ignore"):
+        y = A @ x
+    ok = np.isfinite(csr)
+    assert np.array_equal(np.isfinite(y), ok)
+    assert ok.sum() > n // 2
+    assert np.allclose(y[ok], csr[ok], rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_matvec_without_entries_is_float_zero(n):
+    A = SparseSymMatrix.from_triplets(n, [], [], [])
+    y = A @ np.ones(n)
+    assert y.dtype == np.float64 and y.shape == (n,)
+    assert not y.any()
+
+
+def test_matvec_of_an_arrow_matrix_pads_no_row_to_the_full_width():
+    # one vertex coupled to every other: its row holds all n entries, and
+    # padding every row to that width would store n**2 slots
+    n = 2000
+    hub = np.zeros(n - 1, dtype=np.int64)
+    spokes = np.arange(1, n)
+    rows = np.r_[np.arange(n), hub, spokes]
+    cols = np.r_[np.arange(n), spokes, hub]
+    diag = np.full(n, 4.0)
+    diag[0] = 2.0 * n  # diagonally dominant, so SPD
+    vals = np.r_[diag, -np.ones(2 * (n - 1))]
+    A = SparseSymMatrix.from_triplets(n, rows, cols, vals)
+    assert A._ell_cols.size <= 2 * A.nnz + n
+    x = np.random.default_rng(5).standard_normal(n)
+    _assert_matvec_matches_dense(A, x)
+    res = cg_solve(A, np.ones(n))
+    assert res.converged
+    assert np.allclose(A.to_dense() @ res.x, 1.0, rtol=0, atol=1e-10)
+
+
+def test_mirror_lookup_matches_unsorted_searchsorted(monkeypatch):
+    # from_triplets looks each entry's mirror up with sorted needles; on
+    # triplet sets with missing mirrors, duplicates and entries small
+    # enough to be dropped, that lookup must equal numpy's own
+    calls = []
+
+    def spy(keys, needles):
+        at = _searchsorted(keys, needles)
+        calls.append((keys, needles, at))
+        return at
+
+    monkeypatch.setattr(linalg, "_searchsorted", spy)
+    rng = np.random.default_rng(8)
+    sets, most = 20000, 11
+    sizes = rng.integers(1, 9, sets)
+    counts = rng.integers(0, most + 1, sets)
+    pool = zip(rng.random((sets, 2, most)),
+               rng.choice([1.0, -0.5, 1e-310], (sets, most)),
+               rng.random((sets, most)) < 0.8)
+    symmetric = 0
+    for n, m, (u, v, mirrored) in zip(sizes, counts, pool):
+        r, c = (u[:, :m] * n).astype(np.int64)
+        v, mirrored = v[:m], mirrored[:m]
+        # mirror most entries, so that some sets pass the symmetry check
+        r, c = np.r_[r, c[mirrored]], np.r_[c, r[mirrored]]
+        try:
+            SparseSymMatrix.from_triplets(n, r, c, np.r_[v, v[mirrored]])
+            symmetric += 1
+        except AsymmetricMatrix:
+            pass
+    assert len(calls) == sets and 0 < symmetric < sets
+    for keys, needles, at in calls:
+        assert at.dtype == np.intp
+        assert np.array_equal(at, np.searchsorted(keys, needles))
 
 
 def test_restrict_submatrix():

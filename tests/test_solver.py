@@ -167,6 +167,23 @@ def test_sinsin_rates_smoke():
     assert hs == sorted(hs, reverse=True)
 
 
+# Jacobi-PCG counts of sinsin solves. A change to the matrix layout or
+# the matvec may move the iterates by round-off, but these counts must
+# not move; a count that does is a finding to report, not to re-freeze.
+@pytest.mark.parametrize("family, n, seed, iterations", [
+    ("hexagon", 64, 0, 124),
+    ("hexagon", 32, 0, 72),
+    ("triangle", 32, 0, 57),
+    ("hanging_node", 32, 0, 116),
+    ("perturbed_quad", 64, 1, 209),
+    ("perturbed_quad", 64, 2, 210),
+    ("perturbed_quad", 64, 3, 206),
+])
+def test_sinsin_cg_iterations_are_pinned(family, n, seed, iterations):
+    mesh = generate(MeshFamilySpec(family, n, seed=seed))
+    assert solve(mesh, sinsin_problem()).cg_iterations == iterations
+
+
 def test_patch_study_rates_flagged():
     table = convergence_study(
         MeshFamilySpec("quad", 2), 2, patch_problem())
