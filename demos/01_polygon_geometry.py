@@ -9,25 +9,20 @@ walks through them on a square and on an irregular pentagon.
 
 import numpy as np
 
-from polyvem.geometry import (
-    cell_geometry,
-    fan_quadrature,
-    polygon_area,
-    polygon_centroid,
-    polygon_diameter,
-)
+from polyvem.geometry import cell_geometry, fan_quadrature
 
 square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 pentagon = np.array(
     [[0.0, 0.0], [3.0, 0.0], [3.0, 2.0], [1.5, 3.5], [0.0, 2.0]])
 
 for name, poly in (("unit square", square), ("pentagon", pentagon)):
+    g = cell_geometry(poly)
     print(name)
-    print("  area     ", polygon_area(poly))
-    print("  centroid ", polygon_centroid(poly))
-    print("  diameter ", polygon_diameter(poly))
+    print("  area     ", g.area)
+    print("  centroid ", g.centroid)
+    print("  diameter ", g.diameter)
 
-# the full geometry bundle also carries edge lengths and outward normals
+# the geometry bundle also carries edge lengths and outward normals
 geom = cell_geometry(pentagon)
 print("\npentagon edges")
 for length, normal in zip(geom.edge_lengths, geom.edge_normals):

@@ -20,8 +20,8 @@ implicitly.
 
 Every matrix depends on vertex data only, so cells with the same vertex
 count N run the same fixed-shape algebra: ElementBatch builds the
-matrices of a whole CellBatch at once, and the one-cell functions below
-are slices of the same computation.
+matrices of a whole CellBatch at once, and build_element runs it on a
+batch of one cell.
 """
 
 from dataclasses import dataclass
@@ -36,9 +36,6 @@ NU_POLICIES = ("unit", "trace")
 def _monomials(points, centroid, diameter):
     """Scaled monomials 1, (x-x_P)/h_P, (y-y_P)/h_P at (..., M, 2) points
     of cells with centroids (..., 2) and diameters (...), as (..., M, 3)."""
-    points = np.asarray(points, dtype=float)
-    centroid = np.asarray(centroid, dtype=float)
-    diameter = np.asarray(diameter, dtype=float)
     out = np.empty(points.shape[:-1] + (3,))
     out[..., 0] = 1.0
     out[..., 1:] = ((points - centroid[..., None, :])
@@ -47,8 +44,17 @@ def _monomials(points, centroid, diameter):
 
 
 def _matrix_B(lengths, normals, diameter):
-    """B of cells with edge lengths (..., N), normals (..., N, 2) and
-    diameters (...), as (..., 3, N); see matrix_B."""
+    """Projection right-hand sides from vertex dofs, for cells with edge
+    lengths (..., N), normals (..., N, 2) and diameters (...), as
+    (..., 3, N).
+
+    Row 1 holds the vertex-average weights 1/N (the rank-3 completion of
+    the gradient projection). Rows 2 and 3 are exact boundary integrals
+    of the normal derivative of the monomials against each vertex's hat
+    trace: column j couples the two edges meeting at vertex j,
+
+      B[1+c][j] = (|E_{j-1}| n_c^{(j-1)} + |E_j| n_c^{(j)}) / (2 h_P).
+    """
     N = lengths.shape[-1]
     weighted = lengths[..., None] * normals  # edge j from V_j to V_{j+1}
     prev = np.roll(weighted, 1, axis=-2)
@@ -59,41 +65,9 @@ def _matrix_B(lengths, normals, diameter):
     return B
 
 
-@dataclass
-class ScaledMonomialBasis:
-    """Monomials 1, (x-x_P)/h_P, (y-y_P)/h_P for one cell."""
-
-    centroid: np.ndarray
-    diameter: float
-
-    def evaluate(self, points):
-        """Values of the three monomials at (M, 2) points, as (M, 3)."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        return _monomials(p, self.centroid, self.diameter)
-
-    def gradients(self):
-        """Constant gradients of the monomials, rows of a (3, 2) array."""
-        h = self.diameter
-        return np.array([[0.0, 0.0], [1.0 / h, 0.0], [0.0, 1.0 / h]])
-
-
 def matrix_D(geom, vertices):
     """Vertex values of the scaled monomial basis, one row per vertex."""
-    return _monomials(vertices, geom.centroid, geom.diameter)
-
-
-def matrix_B(geom):
-    """Projection right-hand sides from vertex dofs.
-
-    Row 1 holds the vertex-average weights 1/N (the rank-3 completion of
-    the gradient projection). Rows 2 and 3 are exact boundary integrals
-    of the normal derivative of the monomials against each vertex's hat
-    trace: column j couples the two edges meeting at vertex j,
-
-      B[1+c][j] = (|E_{j-1}| n_c^{(j-1)} + |E_j| n_c^{(j)}) / (2 h_P).
-    """
-    return _matrix_B(geom.edge_lengths, geom.edge_normals,
-                     np.asarray(geom.diameter, dtype=float))
+    return _monomials(vertices, geom.centroid, np.asarray(geom.diameter))
 
 
 class ElementBatch:
@@ -159,42 +133,6 @@ class ElementBatch:
             nu=float(self.nu[k]))
 
 
-def _one_cell(D, B, nu_policy="unit"):
-    D = np.asarray(D, dtype=float)
-    B = np.asarray(B, dtype=float)
-    return ElementBatch(D[None], B[None], nu_policy).element(0)
-
-
-def projector_pistar(D, B):
-    """Energy projector onto the monomial space: (G, G_tilde, Pi_star).
-
-    G = B D must be invertible; Pi_star = G^{-1} B reproduces linear
-    polynomials exactly (Pi_star D = identity).
-    """
-    el = _one_cell(D, B)
-    return el.G, el.G_tilde, el.Pi_star
-
-
-def average_gradient(geom, dof_values):
-    """Cell average of the gradient from vertex values alone.
-
-    (1/|P|) sum_i ((v_i + v_{i+1})/2) |E_i| n_i -- the divergence theorem
-    applied to the (never evaluated) interior extension, exact because
-    traces are linear on edges. Equals the gradient of the energy
-    projection in physical coordinates.
-    """
-    v = np.asarray(dof_values, dtype=float)
-    vbar = 0.5 * (v + np.roll(v, -1))
-    weighted = geom.edge_lengths[:, None] * geom.edge_normals
-    return (vbar[:, None] * weighted).sum(axis=0) / geom.area
-
-
-def local_stiffness(D, B, nu_policy="unit"):
-    """Stabilized local stiffness matrix and the coefficient used."""
-    el = _one_cell(D, B, nu_policy)
-    return el.K, el.nu
-
-
 def consistency_check(K, D, B):
     """Max residual of the exactness property on linear polynomials.
 
@@ -205,14 +143,6 @@ def consistency_check(K, D, B):
     """
     expected = np.vstack([np.zeros(B.shape[1]), B[1], B[2]]).T  # (N, 3)
     return float(np.abs(K @ D - expected).max())
-
-
-def local_load(geom, quad, f):
-    """Low-order load vector: each vertex gets an equal share of the
-    cell integral of f."""
-    integral = quad.integrate(f)
-    N = geom.n_vertices
-    return np.full(N, integral / N)
 
 
 @dataclass
@@ -240,4 +170,7 @@ class StabilityConstants:
 
 def build_element(geom, nu_policy="unit"):
     """Run the whole local construction for one cell."""
-    return _one_cell(matrix_D(geom, geom.vertices), matrix_B(geom), nu_policy)
+    h = np.asarray(geom.diameter)
+    D = _monomials(geom.vertices, geom.centroid, h)
+    B = _matrix_B(geom.edge_lengths, geom.edge_normals, h)
+    return ElementBatch(D[None], B[None], nu_policy).element(0)

@@ -6,8 +6,8 @@ scale so behaviour does not depend on physical units.
 
 All cells with the same vertex count N are handled together: CellBatch
 takes them as one (C, N, 2) stack and computes every per-cell quantity
-in a single vectorized pass. The one-polygon functions below are
-one-cell slices of that batch, so there is one code path for both.
+in a single vectorized pass. cell_geometry and fan_quadrature run the
+same batch on a stack of one polygon, so there is one code path.
 """
 
 from dataclasses import dataclass
@@ -79,8 +79,8 @@ class CellBatch:
 
     Construction never raises. A degenerate cell gets meaningless values
     and a flag in short_edge, bad_area or bad_fan; edge_error, area_error
-    and fan_error turn a flag into the exception the one-polygon
-    functions raise. Each test is written `not value > tol`, so a NaN
+    and fan_error turn a flag into the exception cell_geometry and
+    fan_quadrature raise. Each test is written `not value > tol`, so a NaN
     fails it.
     """
 
@@ -190,41 +190,6 @@ def _raise(error):
         raise error
 
 
-def polygon_diameter(vertices):
-    """Largest distance between any two vertices."""
-    return float(_diameters(_as_polygon(vertices)))
-
-
-def polygon_area(vertices):
-    """Signed shoelace area; raises NonPositiveArea unless positive.
-
-    Positive area is the orientation contract: clockwise input is an error
-    here, not something we silently fix.
-    """
-    b = _one_cell(vertices)
-    _raise(b.area_error(0))
-    return float(b.area[0])
-
-
-def polygon_centroid(vertices):
-    """Area centroid (not the vertex average)."""
-    b = _one_cell(vertices)
-    _raise(b.area_error(0))
-    return b.centroid[0]
-
-
-def edge_data(vertices):
-    """Edge lengths and outward unit normals.
-
-    Edge i runs from vertex i to vertex i+1 (cyclic). For a counterclockwise
-    polygon the outward normal of direction (dx, dy) is (dy, -dx)/length.
-    Returns (lengths (N,), normals (N, 2)).
-    """
-    b = _one_cell(vertices)
-    _raise(b.edge_error(0))
-    return b.edge_lengths[0], b.edge_normals[0]
-
-
 @dataclass
 class CellGeometry:
     """All per-cell geometric quantities the element construction needs."""
@@ -257,7 +222,8 @@ class QuadratureRule:
 
     def integrate(self, f):
         """Integrate a vectorized callable f(x, y) over the polygon."""
-        vals = np.asarray(f(self.points[:, 0], self.points[:, 1]), dtype=float)
+        vals = np.broadcast_to(
+            f(self.points[:, 0], self.points[:, 1]), self.weights.shape)
         return float(np.dot(self.weights, vals))
 
 

@@ -111,19 +111,15 @@ class PolygonalMesh:
         head_at[(self._starts + self._sizes)[nonempty] - 1] = \
             self._starts[nonempty]
         head = tail[head_at]
-        cell = np.repeat(np.arange(len(self.cells)), self._sizes)
         keep = tail != head
-        tail, head, cell = tail[keep], head[keep], cell[keep]
+        tail, head = tail[keep], head[keep]
         lo, hi = np.minimum(tail, head), np.maximum(tail, head)
         order = np.lexsort((hi, lo))  # stable: cell order within an edge
-        lo, hi, tail, cell = lo[order], hi[order], tail[order], cell[order]
+        lo, hi, tail = lo[order], hi[order], tail[order]
         new = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
         first = np.flatnonzero(np.r_[len(lo) > 0, new])
         counts = np.diff(np.r_[first, len(lo)])
         self.edges = np.column_stack([lo[first], hi[first]])
-        cells = cell.tolist()
-        self.edge_cells = [cells[s:s + c]
-                           for s, c in zip(first.tolist(), counts.tolist())]
         # per edge: first traversal, number of traversals, and the tail of
         # every traversal in edge order, for validate()
         self._edge_first, self._edge_counts = first, counts

@@ -5,12 +5,7 @@ random star-shaped polygons."""
 import numpy as np
 import pytest
 
-from polyvem.element import (
-    ElementBatch,
-    build_element,
-    consistency_check,
-    local_load,
-)
+from polyvem.element import ElementBatch, build_element, consistency_check
 from polyvem.errors import InvertedSubTriangle, NonPositiveArea, VemError
 from polyvem.geometry import CellBatch, cell_geometry, fan_quadrature
 from polyvem.mesh import (
@@ -65,9 +60,8 @@ def test_batched_load_matches_one_cell_loads(family):
     _, b = assemble(mesh, p)
     expected = np.zeros(mesh.n_vertices)
     for ci, loop in enumerate(mesh.cells):
-        verts = mesh.cell_vertices(ci)
-        expected[loop] += local_load(cell_geometry(verts),
-                                     fan_quadrature(verts, order=4), p.f)
+        quad = fan_quadrature(mesh.cell_vertices(ci), order=4)
+        expected[loop] += quad.integrate(p.f) / len(loop)
     assert _rel(b, expected) <= 1e-14
 
 
@@ -166,6 +160,31 @@ def test_stiffness_invariant_under_similarity_maps(nu_policy):
         for mapped in (poly + shift, poly @ rot.T, scale * poly,
                        scale * poly @ rot.T + shift):
             assert _rel(_stiffness(mapped, nu_policy), K) <= 1e-11
+
+
+@pytest.mark.parametrize("nu_policy", ["unit", "trace"])
+def test_batch_invariant_under_rigid_motion_and_scaling(nu_policy):
+    # each polygon and its rotated, scaled and translated copy in one
+    # batch; the shift is in units of the copy's scale, since a shift far
+    # beyond the cell size rounds its vertices by |shift| * eps
+    rng = np.random.default_rng(20261018)
+    polys = _random_polygons(rng, 200)
+    for n in range(3, 9):
+        p = np.array([q for q in polys if len(q) == n])
+        m = len(p)
+        theta = rng.uniform(0.0, 2.0 * np.pi, m)
+        c, s = np.cos(theta), np.sin(theta)
+        rot_T = np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], -2)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, m)
+        shift = scale[:, None] * rng.uniform(-10.0, 10.0, (m, 2))
+        moved = scale[:, None, None] * p @ rot_T + shift[:, None, :]
+        el = ElementBatch.of(CellBatch(np.concatenate([p, moved])), nu_policy)
+        for k in range(m):
+            assert _rel(el.K[m + k], el.K[k]) <= 1e-12
+            assert _rel(el.nu[m + k], el.nu[k]) <= 1e-12
+        for k in range(2 * m):
+            residual = consistency_check(el.K[k], el.D[k], el.B[k])
+            assert residual <= 1e-12 * np.abs(el.K[k]).max()
 
 
 def test_stiffness_rank_and_kernel_on_random_polygons():

@@ -2,19 +2,16 @@ import numpy as np
 import pytest
 
 from polyvem.element import (
-    ScaledMonomialBasis,
-    average_gradient,
+    ElementBatch,
     build_element,
     consistency_check,
-    local_load,
-    local_stiffness,
-    matrix_B,
     matrix_D,
-    projector_pistar,
 )
 from polyvem.errors import SingularG
-from polyvem.geometry import cell_geometry, fan_quadrature
+from polyvem.geometry import cell_geometry
 from polyvem.linalg import dense_sym_eigen
+from polyvem.mesh import PolygonalMesh
+from polyvem.solver import ManufacturedProblem, assemble
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 PENTAGON = np.array([
@@ -28,9 +25,10 @@ RIGHT_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 def test_basis_at_centroid():
     g = cell_geometry(UNIT_SQUARE)
-    basis = ScaledMonomialBasis(g.centroid, g.diameter)
-    assert basis.evaluate(g.centroid)[0] == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
-    grads = basis.gradients()
+    # the monomials at the centroid and one unit step along x and along y
+    D = matrix_D(g, g.centroid + np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    assert D[0] == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
+    grads = (D[1:] - D[0]).T
     expected = np.array(
         [[0.0, 0.0], [1.0 / np.sqrt(2.0), 0.0], [0.0, 1.0 / np.sqrt(2.0)]])
     assert np.allclose(grads, expected, atol=1e-15)
@@ -47,8 +45,7 @@ def test_matrix_D_unit_square():
 
 
 def test_matrix_B_unit_square():
-    g = cell_geometry(UNIT_SQUARE)
-    B = matrix_B(g)
+    B = build_element(cell_geometry(UNIT_SQUARE)).B
     s = 1.0 / (2.0 * np.sqrt(2.0))
     assert np.allclose(B[0], 0.25, atol=0)
     assert B[1] == pytest.approx(np.array([-1, 1, 1, -1]) * s, abs=1e-15)
@@ -57,33 +54,28 @@ def test_matrix_B_unit_square():
 
 def test_matrix_B_row_sums():
     for poly in (UNIT_SQUARE, PENTAGON, L_SHAPE):
-        B = matrix_B(cell_geometry(poly))
+        B = build_element(cell_geometry(poly)).B
         assert B[0].sum() == pytest.approx(1.0, abs=1e-14)
         assert B[1].sum() == pytest.approx(0.0, abs=1e-14)
         assert B[2].sum() == pytest.approx(0.0, abs=1e-14)
 
 
 def test_G_unit_square():
-    g = cell_geometry(UNIT_SQUARE)
-    G, G_tilde, _ = projector_pistar(matrix_D(g, UNIT_SQUARE), matrix_B(g))
-    assert np.allclose(G, np.diag([1.0, 0.5, 0.5]), atol=1e-14)
-    assert np.allclose(G_tilde, np.diag([0.0, 0.5, 0.5]), atol=1e-14)
+    el = build_element(cell_geometry(UNIT_SQUARE))
+    assert np.allclose(el.G, np.diag([1.0, 0.5, 0.5]), atol=1e-14)
+    assert np.allclose(el.G_tilde, np.diag([0.0, 0.5, 0.5]), atol=1e-14)
 
 
 def test_G_equals_BD():
     for poly in (PENTAGON, L_SHAPE):
-        g = cell_geometry(poly)
-        D, B = matrix_D(g, poly), matrix_B(g)
-        G, _, _ = projector_pistar(D, B)
-        assert np.allclose(G, B @ D, atol=1e-14)
+        el = build_element(cell_geometry(poly))
+        assert np.allclose(el.G, el.B @ el.D, atol=1e-14)
 
 
 def test_projector_reproduces_linears():
     for poly in (UNIT_SQUARE, PENTAGON, L_SHAPE):
-        g = cell_geometry(poly)
-        D, B = matrix_D(g, poly), matrix_B(g)
-        _, _, Pi_star = projector_pistar(D, B)
-        assert np.allclose(Pi_star @ D, np.eye(3), atol=1e-13)
+        el = build_element(cell_geometry(poly))
+        assert np.allclose(el.Pi_star @ el.D, np.eye(3), atol=1e-13)
 
 
 def test_projector_idempotent():
@@ -121,9 +113,8 @@ def test_trace_policy_square():
 
 
 def test_bad_policy():
-    g = cell_geometry(UNIT_SQUARE)
     with pytest.raises(ValueError):
-        local_stiffness(matrix_D(g, UNIT_SQUARE), matrix_B(g), "foo")
+        build_element(cell_geometry(UNIT_SQUARE), "foo")
 
 
 def test_stiffness_kernel_and_spectrum():
@@ -140,26 +131,22 @@ def test_stiffness_kernel_and_spectrum():
 
 def test_consistency_part_rank_two():
     for poly in (UNIT_SQUARE, PENTAGON, L_SHAPE):
-        g = cell_geometry(poly)
-        D, B = matrix_D(g, poly), matrix_B(g)
-        _, G_tilde, Pi_star = projector_pistar(D, B)
-        Kc = Pi_star.T @ G_tilde @ Pi_star
+        el = build_element(cell_geometry(poly))
+        Kc = el.Pi_star.T @ el.G_tilde @ el.Pi_star
         w = dense_sym_eigen(Kc)
         assert np.sum(np.abs(w) > 1e-10 * np.linalg.norm(Kc)) == 2
 
 
 def test_consistency_check_small():
     for poly in (UNIT_SQUARE, PENTAGON, L_SHAPE):
-        g = cell_geometry(poly)
-        D, B = matrix_D(g, poly), matrix_B(g)
-        K, _ = local_stiffness(D, B)
-        assert consistency_check(K, D, B) <= 1e-12 * np.linalg.norm(K)
+        el = build_element(cell_geometry(poly))
+        assert (consistency_check(el.K, el.D, el.B)
+                <= 1e-12 * np.linalg.norm(el.K))
 
 
 def test_consistency_immune_to_stabilization():
-    g = cell_geometry(PENTAGON)
-    D, B = matrix_D(g, PENTAGON), matrix_B(g)
-    el = build_element(g)
+    el = build_element(cell_geometry(PENTAGON))
+    D, B = el.D, el.B
     R = np.eye(len(D)) - el.Pi
     K_doubled = el.K + R.T @ R  # stabilization coefficient 2 instead of 1
     r1 = consistency_check(el.K, D, B)
@@ -167,34 +154,44 @@ def test_consistency_immune_to_stabilization():
     assert abs(r1 - r2) <= 1e-13 * np.linalg.norm(el.K)
 
 
+def _projected_gradient(g, dofs):
+    """Gradient of the energy projection in physical coordinates."""
+    return build_element(g).Pi_star[1:] @ dofs / g.diameter
+
+
 def test_average_gradient_linear_fields():
     for poly in (UNIT_SQUARE, L_SHAPE):
         g = cell_geometry(poly)
-        gx = average_gradient(g, poly[:, 0])
+        gx = _projected_gradient(g, poly[:, 0])
         assert gx == pytest.approx([1.0, 0.0], abs=1e-13)
-        gc = average_gradient(g, np.full(len(poly), 3.25))
+        gc = _projected_gradient(g, np.full(len(poly), 3.25))
         assert gc == pytest.approx([0.0, 0.0], abs=1e-13)
 
 
 def test_average_gradient_matches_projector():
+    # the cell average of the gradient, (1/|P|) sum_i ((v_i + v_{i+1})/2)
+    # |E_i| n_i by the divergence theorem, is the projected gradient
     g = cell_geometry(PENTAGON)
-    el = build_element(g)
     rng = np.random.default_rng(5)
     dofs = rng.standard_normal(5)
-    coeffs = el.Pi_star @ dofs
-    grad_proj = coeffs[1:] / g.diameter
-    assert average_gradient(g, dofs) == pytest.approx(grad_proj, abs=1e-13)
+    vbar = 0.5 * (dofs + np.roll(dofs, -1))
+    average = (vbar * g.edge_lengths) @ g.edge_normals / g.area
+    assert _projected_gradient(g, dofs) == pytest.approx(average, abs=1e-13)
 
 
 def test_local_load_values():
-    g = cell_geometry(UNIT_SQUARE)
-    quad = fan_quadrature(UNIT_SQUARE, order=2)
-    assert local_load(g, quad, lambda x, y: np.ones_like(x)) == pytest.approx(
+    # each vertex of a one-cell mesh gets an equal share of the integral
+    mesh = PolygonalMesh(UNIT_SQUARE, [[0, 1, 2, 3]])
+
+    def load(f):
+        problem = ManufacturedProblem("load", u=None, grad_u=None, f=f, g=None)
+        return assemble(mesh, problem, quad_order=2)[1]
+
+    assert load(lambda x, y: np.ones_like(x)) == pytest.approx(
         [0.25] * 4, abs=1e-14)
-    assert local_load(g, quad, lambda x, y: np.zeros_like(x)) == pytest.approx(
+    assert load(lambda x, y: np.zeros_like(x)) == pytest.approx(
         [0.0] * 4, abs=0)
-    assert local_load(g, quad, lambda x, y: x) == pytest.approx(
-        [0.125] * 4, abs=1e-14)
+    assert load(lambda x, y: x) == pytest.approx([0.125] * 4, abs=1e-14)
 
 
 def test_translation_invariance():
@@ -216,8 +213,8 @@ def test_scaling_covariance():
 
 
 def test_singular_G_detected():
-    g = cell_geometry(UNIT_SQUARE)
-    D = matrix_D(g, UNIT_SQUARE)
+    el = build_element(cell_geometry(UNIT_SQUARE))
+    D = el.D.copy()
     D[:, 2] = D[:, 1]  # duplicate monomial column makes G rank deficient
     with pytest.raises(SingularG):
-        projector_pistar(D, matrix_B(g))
+        ElementBatch(D[None], el.B[None]).element(0)

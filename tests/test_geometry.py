@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from polyvem.errors import InvertedSubTriangle, NonPositiveArea, ZeroLengthEdge
-from polyvem.geometry import (
-    cell_geometry,
-    edge_data,
-    fan_quadrature,
-    polygon_area,
-    polygon_centroid,
-    polygon_diameter,
-)
+from polyvem.geometry import cell_geometry, fan_quadrature
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -20,28 +13,31 @@ PENTAGON = np.array([
 
 
 def test_unit_square_basics():
-    assert polygon_area(UNIT_SQUARE) == pytest.approx(1.0, abs=1e-15)
-    assert polygon_centroid(UNIT_SQUARE) == pytest.approx([0.5, 0.5], abs=1e-15)
-    assert polygon_diameter(UNIT_SQUARE) == pytest.approx(np.sqrt(2.0), abs=1e-15)
+    g = cell_geometry(UNIT_SQUARE)
+    assert g.area == pytest.approx(1.0, abs=1e-15)
+    assert g.centroid == pytest.approx([0.5, 0.5], abs=1e-15)
+    assert g.diameter == pytest.approx(np.sqrt(2.0), abs=1e-15)
 
 
 def test_pentagon_exact_values():
+    g = cell_geometry(PENTAGON)
     # hand shoelace: 2A = 0 + 6 + 7.5 + 3 + 0 = 16.5
-    assert polygon_area(PENTAGON) == pytest.approx(8.25, abs=1e-13)
+    assert g.area == pytest.approx(8.25, abs=1e-13)
     # centroid sum (74.25, 69.75) / (6 * 8.25)
-    assert polygon_centroid(PENTAGON) == pytest.approx([1.5, 31.0 / 22.0], abs=1e-13)
-    assert polygon_diameter(PENTAGON) == pytest.approx(np.sqrt(14.5), abs=1e-13)
+    assert g.centroid == pytest.approx([1.5, 31.0 / 22.0], abs=1e-13)
+    assert g.diameter == pytest.approx(np.sqrt(14.5), abs=1e-13)
 
 
 def test_translation_invariance():
-    shifted = PENTAGON + np.array([10.0, -7.0])
-    assert polygon_area(shifted) == pytest.approx(8.25, abs=1e-12)
-    assert polygon_centroid(shifted) == pytest.approx(
+    g = cell_geometry(PENTAGON + np.array([10.0, -7.0]))
+    assert g.area == pytest.approx(8.25, abs=1e-12)
+    assert g.centroid == pytest.approx(
         [11.5, 31.0 / 22.0 - 7.0], abs=1e-12)
 
 
 def test_unit_square_edges():
-    lengths, normals = edge_data(UNIT_SQUARE)
+    g = cell_geometry(UNIT_SQUARE)
+    lengths, normals = g.edge_lengths, g.edge_normals
     assert lengths == pytest.approx([1.0, 1.0, 1.0, 1.0], abs=1e-15)
     expected = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     assert np.allclose(normals, expected, atol=1e-15)
@@ -49,26 +45,27 @@ def test_unit_square_edges():
 
 def test_edge_normal_closure():
     # sum of length-weighted outward normals of a closed polygon vanishes
-    lengths, normals = edge_data(PENTAGON)
+    g = cell_geometry(PENTAGON)
+    lengths, normals = g.edge_lengths, g.edge_normals
     assert np.allclose((lengths[:, None] * normals).sum(axis=0), 0.0, atol=1e-13)
     assert np.allclose((normals ** 2).sum(axis=1), 1.0, atol=1e-14)
 
 
 def test_clockwise_rejected():
     with pytest.raises(NonPositiveArea):
-        polygon_area(UNIT_SQUARE[::-1])
+        cell_geometry(UNIT_SQUARE[::-1])
 
 
 def test_collinear_rejected():
     flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(NonPositiveArea):
-        polygon_area(flat)
+        cell_geometry(flat)
 
 
 def test_zero_length_edge_rejected():
     bad = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ZeroLengthEdge):
-        edge_data(bad)
+        cell_geometry(bad)
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -87,6 +84,12 @@ def test_order2_exact_for_quadratics():
     rule = fan_quadrature(UNIT_SQUARE, order=2)
     assert rule.integrate(lambda x, y: x * x) == pytest.approx(1.0 / 3.0, abs=1e-14)
     assert rule.integrate(lambda x, y: x * y) == pytest.approx(0.25, abs=1e-14)
+
+
+def test_constant_integrand():
+    rule = fan_quadrature(PENTAGON, order=2)
+    assert rule.integrate(lambda x, y: 1.0) == pytest.approx(8.25, abs=1e-12)
+    assert rule.integrate(lambda x, y: 2) == pytest.approx(16.5, abs=1e-12)
 
 
 def test_order4_exact_for_quartics():

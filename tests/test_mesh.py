@@ -116,8 +116,9 @@ def test_bad_perturbation():
 def test_families_validate_and_tile(family, n):
     m = generate(MeshFamilySpec(family, n))
     assert validate(m).ok
-    from polyvem.geometry import polygon_area
-    total = sum(polygon_area(m.cell_vertices(ci)) for ci in range(m.n_cells))
+    from polyvem.geometry import cell_geometry
+    total = sum(cell_geometry(m.cell_vertices(ci)).area
+                for ci in range(m.n_cells))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 

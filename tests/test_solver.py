@@ -5,7 +5,13 @@ from polyvem.element import build_element
 from polyvem.errors import EmptyInterior
 from polyvem.geometry import cell_geometry
 from polyvem.linalg import dense_sym_eigen
-from polyvem.mesh import MeshFamilySpec, boundary_vertices, generate
+from polyvem.mesh import (
+    MeshFamilySpec,
+    PolygonalMesh,
+    boundary_vertices,
+    generate,
+    validate,
+)
 from polyvem.solver import (
     CSV_HEADER,
     PROBLEMS,
@@ -118,6 +124,24 @@ def test_zero_data_gives_zero():
     mesh = generate(MeshFamilySpec("quad", 4))
     sol = solve(mesh, zero)
     assert np.abs(sol.dof_values).max() == 0.0
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("family", ["hexagon", "hanging_node"])
+def test_patch_exact_on_randomly_perturbed_mesh(family, seed):
+    # interior vertices moved by up to 0.2 h per coordinate, h = 1/n
+    n = 8
+    mesh = generate(MeshFamilySpec(family, n))
+    interior = ~mesh.boundary_vertex_flags
+    vertices = mesh.vertices.copy()
+    vertices[interior] += np.random.default_rng(seed).uniform(
+        -0.2 / n, 0.2 / n, (interior.sum(), 2))
+    mesh = PolygonalMesh(vertices, mesh.cells)
+    assert validate(mesh).ok
+    p = patch_problem()
+    sol = solve(mesh, p)
+    exact = p.u(vertices[:, 0], vertices[:, 1])
+    assert np.abs(sol.dof_values - exact).max() <= 1e-10
 
 
 @pytest.mark.parametrize("family", ["quad", "perturbed_quad", "hexagon"])
