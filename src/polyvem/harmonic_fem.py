@@ -175,11 +175,11 @@ def p1_global_solve(mesh, problem, options=None):
     vertices), the boundary treatment and CG are the polygonal driver's,
     so a comparison against it exercises only the element matrices.
     """
-    odd = [ids[0] for ids, loops, _ in mesh.cell_groups()
+    odd = [(ids[0], loops.shape[1]) for ids, loops, _ in mesh.cell_groups()
            if loops.shape[1] != 3]
     if odd:
-        ci = min(odd)
+        ci, size = min(odd)
         raise ValueError(
-            f"cell {ci} has {len(mesh.cells[ci])} vertices; p1_global_solve "
+            f"cell {ci} has {size} vertices; p1_global_solve "
             "needs an all-triangle mesh")
     return solve(mesh, problem, options, stiffness=p1_stiffness).dof_values

@@ -1,6 +1,7 @@
 """Polygonal meshes of the unit square: data model, generators, JSON I/O.
 
-A mesh is a flat vertex array plus one CCW vertex-index loop per cell.
+A mesh is a flat vertex array plus one ragged array of cells: the CCW
+vertex-index loops of all cells concatenated, with each loop's length.
 Hanging nodes are ordinary polygon vertices (a square with a midpoint on
 one side is stored as a pentagon), so no constraint bookkeeping exists
 anywhere downstream.
@@ -10,6 +11,7 @@ possible, and a tiny documented xorshift generator where randomness is
 requested, so equal specs give byte-identical JSON files.
 """
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -70,30 +72,54 @@ class MeshFamilySpec:
     seed: int = 0
 
 
+def _flatten(cells):
+    """(flat, sizes) of an iterable of vertex index loops; an index
+    beyond int64 becomes -1, which the range check reports."""
+    cells = list(cells)
+    sizes = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(cells), np.int64)
+    except OverflowError:
+        flat = np.array([v if -(1 << 63) <= v < 1 << 63 else -1
+                         for loop in cells for v in loop], dtype=np.int64)
+    return flat, sizes
+
+
 class PolygonalMesh:
     """Immutable polygonal mesh with derived edge topology.
 
-    vertices: (V, 2) float array of finite coordinates. cells: list of
-    integer index arrays, each a CCW loop. Edges are undirected
-    (vmin, vmax) pairs; the incident cell lists follow the order cells
-    were given in.
+    vertices: (V, 2) float array of finite coordinates. The cells are one
+    ragged array: the vertex indices of every CCW cell loop, concatenated
+    in cell order, with the per-cell sizes and start offsets beside it.
+    `cells` splits it into one index array per cell on first access.
+    Edges are undirected (vmin, vmax) pairs; the incident cell lists
+    follow the order cells were given in.
     """
 
     def __init__(self, vertices, cells):
+        self._init_ragged(vertices, *_flatten(cells))
+
+    @classmethod
+    def _from_ragged(cls, vertices, flat, sizes):
+        """Mesh from its ragged cell array: the loops' vertex indices
+        concatenated in cell order (flat) and the loop lengths (sizes)."""
+        mesh = cls.__new__(cls)
+        mesh._init_ragged(vertices, flat, sizes)
+        return mesh
+
+    def _init_ragged(self, vertices, flat, sizes):
         self.vertices = np.asarray(vertices, dtype=float).reshape(-1, 2)
-        self.cells = [np.asarray(c, dtype=np.int64).ravel() for c in cells]
         finite = np.isfinite(self.vertices).all(axis=1)
         if not finite.all():
             vi = int(np.flatnonzero(~finite)[0])
             x, y = self.vertices[vi]
             raise ValidationError(
                 f"vertex {vi} has a non-finite coordinate ({x}, {y})")
-        self._sizes = np.array([len(c) for c in self.cells], dtype=np.int64)
-        self._flat = (np.concatenate(self.cells) if self.cells
-                      else np.zeros(0, dtype=np.int64))
-        self._starts = np.cumsum(self._sizes) - self._sizes
+        self._flat, self._sizes = flat, sizes
+        flat.flags.writeable = False
+        self._starts = np.cumsum(sizes) - sizes
         V = len(self.vertices)
-        out = np.flatnonzero((self._flat < 0) | (self._flat >= V))
+        out = np.flatnonzero((flat < 0) | (flat >= V))
         if out.size:
             # the last cell starting at or before the first bad entry
             ci = int(np.searchsorted(self._starts, out[0], side="right")) - 1
@@ -101,6 +127,7 @@ class PolygonalMesh:
                 f"cell {ci} references a vertex outside [0, {V})")
         self._build_topology()
         self._groups = None
+        self._cells = None
 
     def _build_topology(self):
         # every directed edge tail -> head in cell order, without the
@@ -135,7 +162,16 @@ class PolygonalMesh:
 
     @property
     def n_cells(self):
-        return len(self.cells)
+        return len(self._sizes)
+
+    @property
+    def cells(self):
+        """One read-only vertex index array per cell, split from the
+        ragged array on first access."""
+        if self._cells is None:
+            self._cells = [self._flat[s:s + n] for s, n in
+                           zip(self._starts.tolist(), self._sizes.tolist())]
+        return self._cells
 
     @property
     def n_edges(self):
@@ -143,9 +179,9 @@ class PolygonalMesh:
 
     def cell_vertices(self, ci):
         """Coordinates of cell ci as an (N, 2) array."""
-        if not 0 <= ci < len(self.cells):
-            raise IndexOutOfRange(f"cell index {ci} outside [0, {len(self.cells)})")
-        return self.vertices[self.cells[ci]]
+        if not 0 <= ci < self.n_cells:
+            raise IndexOutOfRange(f"cell index {ci} outside [0, {self.n_cells})")
+        return self.vertices[self._flat[self._starts[ci]:][:self._sizes[ci]]]
 
     def cell_groups(self):
         """Cells grouped by vertex count N, in ascending N.
@@ -175,9 +211,8 @@ class PolygonalMesh:
             return NotImplemented
         return (self.vertices.shape == other.vertices.shape
                 and np.array_equal(self.vertices, other.vertices)
-                and len(self.cells) == len(other.cells)
-                and all(np.array_equal(a, b)
-                        for a, b in zip(self.cells, other.cells)))
+                and np.array_equal(self._sizes, other._sizes)
+                and np.array_equal(self._flat, other._flat))
 
 
 def boundary_vertices(mesh):
@@ -202,6 +237,12 @@ def _cell_violations(loops, geo):
         out[:] = "fewer than 3 distinct vertices"
         return out
     s = np.sort(loops, axis=1)
+    # fan angles about the centroid; once every fan triangle is positive
+    # they sum to 2 pi times the number of turns the loop makes
+    with np.errstate(all="ignore"):
+        a = geo.vertices - geo.centroid[:, None]
+        dot = (a * np.roll(a, -1, axis=1)).sum(axis=2)
+        turning = np.arctan2(2.0 * geo.fan_areas, dot).sum(axis=1)
     checks = (
         ((s[:, 1:] != s[:, :-1]).sum(axis=1) < 2,
          "fewer than 3 distinct vertices"),
@@ -211,6 +252,7 @@ def _cell_violations(loops, geo):
         (geo.short_edge.any(axis=1), "zero-length edge"),
         (geo.bad_fan.any(axis=1),
          "not star-shaped with respect to its centroid"),
+        (turning > 3 * np.pi, "winds more than once about its centroid"),
     )
     for mask, text in reversed(checks):
         out[mask] = text
@@ -292,45 +334,40 @@ def _generate_quad(n):
     xs = np.arange(n + 1) / n
     X, Y = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            cells.append([vid(i, j), vid(i + 1, j),
-                          vid(i + 1, j + 1), vid(i, j + 1)])
-    return vertices, cells
+    corners = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    loops = corners[:, None] + [0, 1, n + 2, n + 1]
+    return vertices, loops.ravel(), np.full(n * n, 4)
 
 
 def _generate_perturbed_quad(n, perturbation, seed):
-    vertices, cells = _generate_quad(n)
+    vertices, flat, sizes = _generate_quad(n)
     rng = XorShift64Star(seed)
-    amp = perturbation / n
     # two draws per interior vertex, x then y, in vertex-index order;
     # boundary vertices take no draws so the domain stays exactly [0,1]^2
-    for vi in range(len(vertices)):
-        i, j = vi % (n + 1), vi // (n + 1)
-        if 0 < i < n and 0 < j < n:
-            vertices[vi, 0] += (2.0 * rng.uniform() - 1.0) * amp
-            vertices[vi, 1] += (2.0 * rng.uniform() - 1.0) * amp
-    return vertices, cells
+    interior = ((vertices > 0) & (vertices < 1)).all(axis=1)
+    draws = np.fromiter((rng.uniform() for _ in range(2 * interior.sum())),
+                        dtype=float)
+    amp = perturbation / n
+    vertices[interior] += ((2.0 * draws - 1.0) * amp).reshape(-1, 2)
+    return vertices, flat, sizes
 
 
 def _generate_triangle(n):
-    vertices, _ = _generate_quad(n)
+    vertices, quads, _ = _generate_quad(n)
+    # split along the bottom-left to top-right diagonal
+    loops = quads.reshape(-1, 4)[:, [0, 1, 2, 0, 2, 3]]
+    return vertices, loops.ravel(), np.full(2 * n * n, 3)
 
-    def vid(i, j):
-        return j * (n + 1) + i
 
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            # split along the bottom-left to top-right diagonal
-            cells.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1)])
-            cells.append([vid(i, j), vid(i + 1, j + 1), vid(i, j + 1)])
-    return vertices, cells
+def _first_appearance(keys):
+    """Number the distinct rows of a non-negative (M, 2) integer array in
+    order of first appearance: (ids, points), ids (M,) the number of each
+    row and points (V, 2) the distinct rows in that order."""
+    code = keys[:, 0] * (keys[:, 1].max() + 1) + keys[:, 1]
+    _, first, inverse = np.unique(code, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[inverse.ravel()], keys[first[order]]
 
 
 # pointy-top hexagon on the integer lattice, CCW from the lower-right
@@ -356,36 +393,22 @@ def _clip_axis(poly, axis, bound, keep_le):
         return (bound, other) if axis == 0 else (other, bound)
 
     out = []
-    m = len(poly)
-    for k in range(m):
-        a, b = poly[k], poly[(k + 1) % m]
+    for a, b in zip(poly, poly[1:] + poly[:1]):
         if inside(a):
             out.append(a)
-            if not inside(b):
-                out.append(crossing(a, b))
-        elif inside(b):
+        if inside(a) != inside(b):
             out.append(crossing(a, b))
     return out
 
 
-def _dedupe_loop(poly):
-    out = []
-    for p in poly:
-        if not out or p != out[-1]:
-            out.append(p)
-    if len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    return out
-
-
-def _int_shoelace2(poly):
-    s = 0
-    m = len(poly)
-    for k in range(m):
-        x0, y0 = poly[k]
-        x1, y1 = poly[(k + 1) % m]
-        s += x0 * y1 - x1 * y0
-    return s
+def _clip_to_window(poly, L):
+    """A lattice polygon (list of points) clipped exactly to [0, L]^2."""
+    for axis, bound, keep_le in ((0, 0, False), (0, L, True),
+                                 (1, 0, False), (1, L, True)):
+        poly = _clip_axis(poly, axis, bound, keep_le)
+    # a vertex on a window side comes out twice
+    poly = [p for k, p in enumerate(poly) if k == 0 or p != poly[k - 1]]
+    return poly[:-1] if poly[0] == poly[-1] else poly
 
 
 def _generate_hexagon(n):
@@ -399,37 +422,36 @@ def _generate_hexagon(n):
     if n < 2:
         raise UnsupportedResolution("hexagon family requires n >= 2")
     L = 2 * n
-    cells_keys = []
-    r = 0
-    while 3 * r - 2 < L:
-        par = r % 2
-        c = 0
-        while 2 * c + par - 1 < L:
-            cx, cy = 2 * c + par, 3 * r
-            poly = [(cx + dx, cy + dy) for dx, dy in _HEX_OFFSETS]
-            for axis, bound, keep_le in ((0, 0, False), (0, L, True),
-                                         (1, 0, False), (1, L, True)):
-                poly = _clip_axis(poly, axis, bound, keep_le)
-                if not poly:
-                    break
-            poly = _dedupe_loop(poly)
-            if len(poly) >= 3 and _int_shoelace2(poly) > 0:
-                cells_keys.append(poly)
-            c += 1
-        r += 1
+    # row r holds the centres (2c + r % 2, 3r) of the hexagons that
+    # overlap the window with positive area: n + 1 of them on even rows
+    # and n on odd rows
+    r, c = np.divmod(np.arange(((L + 1) // 3 + 1) * (n + 1)), n + 1)
+    keep = c < n + 1 - r % 2
+    hexes = np.column_stack([2 * c + r % 2, 3 * r])[keep, None] + _HEX_OFFSETS
+    full = ((hexes >= 0) & (hexes <= L)).all(axis=(1, 2))
+    cut = [_clip_to_window(list(map(tuple, loop)), L)
+           for loop in hexes[~full].tolist()]
+    sizes = np.full(len(hexes), len(_HEX_OFFSETS))
+    sizes[~full] = list(map(len, cut))
+    keys = np.zeros((len(hexes), sizes.max(), 2), dtype=np.int64)
+    used = np.arange(sizes.max()) < sizes[:, None]
+    keys[used & full[:, None]] = hexes[full].reshape(-1, 2)
+    keys[used & ~full[:, None]] = list(itertools.chain.from_iterable(cut))
+    flat, points = _first_appearance(keys[used])
+    return points * (1.0 / L), flat, sizes
 
-    index = {}
-    cells = []
-    for poly in cells_keys:
-        loop = []
-        for key in poly:
-            if key not in index:
-                index[key] = len(index)
-            loop.append(index[key])
-        cells.append(loop)
-    scale = 1.0 / L
-    vertices = np.array([[kx * scale, ky * scale] for kx, ky in index])
-    return vertices, cells
+
+# the cells of hanging_node on its half-step lattice, padded to 5 points,
+# with their sizes: a subcell of the refined quadrant, the quadrant's right
+# and top neighbours (each with the midpoint of the shared edge as a
+# hanging vertex), and a plain square
+_HANGING_LOOPS = np.array([
+    [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)],
+    [(0, 0), (2, 0), (2, 2), (0, 2), (0, 1)],
+    [(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)],
+    [(0, 0), (2, 0), (2, 2), (0, 2), (0, 0)],
+])
+_HANGING_SIZES = np.array([4, 5, 5, 4])
 
 
 def _generate_hanging_node(n):
@@ -443,39 +465,19 @@ def _generate_hanging_node(n):
     if n < 2 or n % 2:
         raise UnsupportedResolution("hanging_node family requires even n >= 2")
     half = n // 2
-    index = {}
-    cells = []
-
-    def vid(kx, ky):
-        if (kx, ky) not in index:
-            index[(kx, ky)] = len(index)
-        return index[(kx, ky)]
-
-    def add(loop_keys):
-        cells.append([vid(*k) for k in loop_keys])
-
-    for j in range(n):
-        for i in range(n):
-            x0, y0 = 2 * i, 2 * j
-            if i < half and j < half:
-                for dj in (0, 1):
-                    for di in (0, 1):
-                        a, b = x0 + di, y0 + dj
-                        add([(a, b), (a + 1, b), (a + 1, b + 1), (a, b + 1)])
-            elif i == half and j < half:
-                # right neighbor of the quadrant: midpoint on the left edge
-                add([(x0, y0), (x0 + 2, y0), (x0 + 2, y0 + 2),
-                     (x0, y0 + 2), (x0, y0 + 1)])
-            elif j == half and i < half:
-                # top neighbor: midpoint on the bottom edge
-                add([(x0, y0), (x0 + 1, y0), (x0 + 2, y0),
-                     (x0 + 2, y0 + 2), (x0, y0 + 2)])
-            else:
-                add([(x0, y0), (x0 + 2, y0), (x0 + 2, y0 + 2), (x0, y0 + 2)])
-
-    scale = 1.0 / (2 * n)
-    vertices = np.array([[kx * scale, ky * scale] for kx, ky in index])
-    return vertices, cells
+    j, i = np.divmod(np.arange(n * n), n)
+    kind = np.select([(i < half) & (j < half), (i == half) & (j < half),
+                      (j == half) & (i < half)], [0, 1, 2], 3)
+    # a refined square holds its four subcells, row by row
+    square = np.repeat(np.arange(n * n), np.where(kind == 0, 4, 1))
+    sub = np.arange(len(square)) - np.searchsorted(square, square)
+    origin = 2 * np.column_stack([i, j])[square] + np.column_stack(
+        [sub % 2, sub // 2])
+    kind = kind[square]
+    keys = origin[:, None] + _HANGING_LOOPS[kind]
+    used = np.arange(5) < _HANGING_SIZES[kind][:, None]
+    flat, points = _first_appearance(keys[used])
+    return points * (1.0 / (2 * n)), flat, _HANGING_SIZES[kind]
 
 
 def generate(spec):
@@ -487,19 +489,19 @@ def generate(spec):
     if n < 1:
         raise UnsupportedResolution("resolution must be a positive integer")
     if spec.family == "quad":
-        vertices, cells = _generate_quad(n)
+        ragged = _generate_quad(n)
     elif spec.family == "perturbed_quad":
         if not 0.0 <= spec.perturbation < 0.5:
             raise ValueError("perturbation must lie in [0, 0.5)")
-        vertices, cells = _generate_perturbed_quad(
+        ragged = _generate_perturbed_quad(
             n, float(spec.perturbation), spec.seed)
     elif spec.family == "triangle":
-        vertices, cells = _generate_triangle(n)
+        ragged = _generate_triangle(n)
     elif spec.family == "hexagon":
-        vertices, cells = _generate_hexagon(n)
+        ragged = _generate_hexagon(n)
     else:
-        vertices, cells = _generate_hanging_node(n)
-    return PolygonalMesh(vertices, cells)
+        ragged = _generate_hanging_node(n)
+    return PolygonalMesh._from_ragged(*ragged)
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +514,14 @@ def to_json_text(mesh):
     The text is fully determined by the mesh, so equal meshes produce
     byte-identical files.
     """
-    lines = ["{", '"vertices": [']
-    for k, (x, y) in enumerate(mesh.vertices):
-        comma = "," if k + 1 < mesh.n_vertices else ""
-        lines.append(f"[{x:.17g}, {y:.17g}]{comma}")
-    lines.append("],")
-    lines.append('"cells": [')
-    for k, loop in enumerate(mesh.cells):
-        comma = "," if k + 1 < mesh.n_cells else ""
-        lines.append("[" + ", ".join(str(int(v)) for v in loop) + f"]{comma}")
-    lines.append("]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    verts = [f"[{x:.17g}, {y:.17g}]" for x, y in mesh.vertices.tolist()]
+    index = list(map(str, mesh._flat.tolist()))
+    cells = ["[" + ", ".join(index[s:s + n]) + "]" for s, n in
+             zip(mesh._starts.tolist(), mesh._sizes.tolist())]
+    lines = ["{", '"vertices": [', ",\n".join(verts), "],",
+             '"cells": [', ",\n".join(cells), "]", "}"]
+    # an empty mesh has no row lines
+    return "\n".join(filter(None, lines)) + "\n"
 
 
 def write_json(mesh, path):

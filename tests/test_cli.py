@@ -89,6 +89,26 @@ def test_run_rejects_mesh_with_oversized_coordinate(tmp_path, capsys):
     assert "vertex 3 has a coordinate too large" in capsys.readouterr().err
 
 
+def test_run_rejects_mesh_with_index_beyond_int64(tmp_path, capsys):
+    mesh_file = tmp_path / "huge_index.json"
+    mesh_file.write_text('{"vertices": [[0,0],[1,0],[0,1]], '
+                         '"cells": [[0,1,99999999999999999999999]]}')
+    assert main(["run", "--mesh", str(mesh_file)]) == 1
+    assert capsys.readouterr().err == (
+        "error: cell 0 references a vertex outside [0, 3)\n")
+
+
+def test_run_rejects_self_winding_cell(tmp_path, capsys):
+    # the pentagon's vertices in the order 0, 2, 4, 1, 3: a pentagram
+    t = 2 * np.pi * np.arange(5) / 5
+    verts = np.column_stack([np.cos(t), np.sin(t)])[[0, 2, 4, 1, 3]]
+    mesh_file = tmp_path / "pentagram.json"
+    mesh_file.write_text(json.dumps(
+        {"vertices": verts.tolist(), "cells": [[0, 1, 2, 3, 4]]}))
+    assert main(["run", "--mesh", str(mesh_file)]) == 1
+    assert "cell 0: winds more than once" in capsys.readouterr().err
+
+
 def test_run_rejects_mesh_without_cells(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text('{"vertices": [], "cells": []}\n')

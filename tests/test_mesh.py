@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from polyvem.errors import (
+    IndexOutOfRange,
     ParseError,
     UnsupportedResolution,
     ValidationError,
@@ -14,6 +17,7 @@ from polyvem.mesh import (
     boundary_vertices,
     generate,
     read_json,
+    to_json_text,
     validate,
     write_json,
 )
@@ -156,6 +160,19 @@ def test_validate_reports_clockwise_cell():
     assert any("cell 1" in v and "area" in v for v in report.violations)
 
 
+def _pentagon(order):
+    t = 2 * np.pi * np.arange(5) / 5
+    return PolygonalMesh(np.column_stack([np.cos(t), np.sin(t)]), [order])
+
+
+def test_validate_reports_cell_winding_twice():
+    # every fan triangle of the pentagram is positive; it winds twice
+    # about its centroid, so its area counts the inner pentagon twice
+    assert validate(_pentagon([0, 1, 2, 3, 4])).ok
+    assert validate(_pentagon([0, 2, 4, 1, 3])).violations == [
+        "cell 0: winds more than once about its centroid"]
+
+
 def test_validate_reports_nonmanifold_edge():
     # three triangles glued to one edge
     verts = [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [1.5, 1.0]]
@@ -195,6 +212,73 @@ def test_json_byte_determinism(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# SHA-256 of to_json_text(generate(spec)). The vertex numbering (first
+# appearance in cell order), the cell order and the xorshift64* draw order
+# are part of the mesh-file contract, so these digests must never move.
+# hanging_node has no odd n.
+PINNED_MESH_DIGESTS = [
+    (("quad", 2),
+     "a8f4eb88129c5d7c6b04479e5c0c84de9ecb8ff0a351357ca87d919c420bc0d8"),
+    (("quad", 3),
+     "d61e9ce55e1c9649ea0991482e6d53dd99ff6a12f676a0169b1ef418d9f64d77"),
+    (("quad", 8),
+     "b0b020b7e174a03af9f389c7b6d2c120c977d27c55b1549521c648fca1d66733"),
+    (("quad", 64),
+     "d6b7a350bedacff0b8a9b6b0c70e5b8a7c3e4b41d24e7cb8e74a62f35fb51672"),
+    (("quad", 128),
+     "3b91a83fd0557fb9c1be7078fc99023b897c08caee9a7e7aacef55be4a02d192"),
+    (("perturbed_quad", 2),
+     "5cc398a241fde40ed376e4a1a7c817f713fab2c12bc229e1daa4fe69f94c0c47"),
+    (("perturbed_quad", 3),
+     "2e8c226780ae9e37d73245ab2d4c88092f8524f78b293eb187c99fd82f5a2970"),
+    (("perturbed_quad", 8),
+     "e50c136abf2de43dffe082f8c403fe28603eb3ad27a72775792d8f055a3428d2"),
+    (("perturbed_quad", 64),
+     "30dd4791e4af082efc9b1f28a573e67f9168d6e97d67271b16c83716a902964d"),
+    (("perturbed_quad", 128),
+     "e0e84780894bdd2a21eacc7fe8e0b338e73c98651201eddc9e0c5d3d0e8adda6"),
+    (("perturbed_quad", 8, 0.25, 7),
+     "5cf5f3066a595bb31683c37341984d1a37978881d99a7b76ea29d4c811ed0fa5"),
+    (("perturbed_quad", 8, 0.25, 12345),
+     "cf66dae43b7beadcb9cc8649a51ad8a9b83e376203d8e6e3d60d27a7ea2535da"),
+    # no perturbation gives the plain quad mesh
+    (("perturbed_quad", 8, 0.0),
+     "b0b020b7e174a03af9f389c7b6d2c120c977d27c55b1549521c648fca1d66733"),
+    (("perturbed_quad", 8, 0.49),
+     "624bc16f685d4936d495a0598f5d95a43a6f0c07b8a1302f6f81ec844b27d8aa"),
+    (("triangle", 2),
+     "55dfafe8a32129b4ade1496a4d0607e6cf74db0f066b298142c20a8526734623"),
+    (("triangle", 3),
+     "32da87cc709658dc86d76cda81b9144985126b62bebfad5af3d37b077580a94d"),
+    (("triangle", 8),
+     "cab0cc6b874a1c967bfd26eedb120512b9eb82da990345a9f8b6db714611a8e6"),
+    (("triangle", 64),
+     "e4a4750d353c4471b65d663c315788a05b51dd3f31f825db13a26017b526d1e2"),
+    (("hexagon", 2),
+     "a4cf446d4f8b605b6b644987cc06f500d17e7329e06fb2d2df3eebdd2f2d2bed"),
+    (("hexagon", 3),
+     "fea7332e3a06dacd882c7ff9be1803305adc5118d43d35510ac864596c55619b"),
+    (("hexagon", 8),
+     "9427971c0d3af363789e3314b7f3041b45465d08b58e4bad32f5589d5e05cfa3"),
+    (("hexagon", 64),
+     "e54f40368fdbb5ce1b4809a97a6c06b320b90544539b07d120f24e94ccfb5714"),
+    (("hanging_node", 2),
+     "2d3060cfc4e90da94469198d22e5f7b683feef8f5a8ffe14f390e2bc3e49f1b4"),
+    (("hanging_node", 8),
+     "5019f6e1009eea9d80b494a2676ca2f3b6a001e9a6038ef1c82c449954533e2a"),
+    (("hanging_node", 64),
+     "d374be87dcb4555088c4f748f3bea3ba6118b6708f07c12333afe8b3471690e8"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,digest", PINNED_MESH_DIGESTS,
+    ids=["-".join(map(str, spec)) for spec, _ in PINNED_MESH_DIGESTS])
+def test_generated_mesh_json_is_pinned(spec, digest):
+    text = to_json_text(generate(MeshFamilySpec(*spec)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_json_parse_errors(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -213,6 +297,68 @@ def test_json_rejects_bad_index(tmp_path):
     p.write_text('{"vertices": [[0,0],[1,0],[0,1]], "cells": [[0,1,5]]}')
     with pytest.raises(ValidationError):
         read_json(p)
+
+
+@pytest.mark.parametrize("index", ["9" * 20, "-" + "9" * 20])
+def test_json_rejects_index_beyond_int64(tmp_path, index):
+    # reported like any other bad index, not as an OverflowError
+    p = tmp_path / "huge_index.json"
+    p.write_text('{"vertices": [[0,0],[1,0],[0,1]], '
+                 '"cells": [[0,1,2],[0,1,%s]]}' % index)
+    with pytest.raises(ValidationError,
+                       match=r"cell 1 references a vertex outside \[0, 3\)"):
+        read_json(p)
+
+
+_SQUARE_FAN_VERTICES = [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]]
+_SQUARE_FAN = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]
+
+
+@pytest.mark.parametrize("cells,flat,sizes,violations", [
+    (_SQUARE_FAN, [0, 1, 4, 1, 2, 4, 2, 3, 4, 3, 0, 4], [3, 3, 3, 3], []),
+    ([np.array(c) for c in _SQUARE_FAN],
+     [0, 1, 4, 1, 2, 4, 2, 3, 4, 3, 0, 4], [3, 3, 3, 3], []),
+    ([np.array([0, 1, 4]), [1, 2, 4], (2, 3, 4), np.array([3, 0, 4])],
+     [0, 1, 4, 1, 2, 4, 2, 3, 4, 3, 0, 4], [3, 3, 3, 3], []),
+    (np.array(_SQUARE_FAN),
+     [0, 1, 4, 1, 2, 4, 2, 3, 4, 3, 0, 4], [3, 3, 3, 3], []),
+    ((c for c in _SQUARE_FAN),
+     [0, 1, 4, 1, 2, 4, 2, 3, 4, 3, 0, 4], [3, 3, 3, 3], []),
+    ([[0, 1, 2, 3], []], [0, 1, 2, 3], [4, 0],
+     ["cell 1: fewer than 3 distinct vertices",
+      "vertex 4: not referenced by any cell"]),
+    ([], [], [], [f"vertex {vi}: not referenced by any cell"
+                  for vi in range(5)]),
+], ids=["lists", "arrays", "mixed", "T-by-3-array", "generator",
+        "empty-loop", "no-cells"])
+def test_constructor_accepts_loop_forms(cells, flat, sizes, violations):
+    m = PolygonalMesh(_SQUARE_FAN_VERTICES, cells)
+    assert m._flat.dtype == np.int64 and m._flat.tolist() == flat
+    assert m._sizes.tolist() == sizes and m.n_cells == len(sizes)
+    assert [c.tolist() for c in m.cells] == [
+        flat[s:s + n] for s, n in zip(np.cumsum([0] + sizes), sizes)]
+    assert m.cells is m.cells
+    assert validate(m).violations == violations
+
+
+@pytest.mark.parametrize("cells,ci", [
+    ([[0, 1, 2], [0, 1, 9]], 1),
+    ([[0, 1, 2], [], [0, 1, -1]], 2),
+    ([[], [5, 0, 1]], 1),
+    ([[0, 1, 2], [0, 1, 2**70]], 1),
+    ([[0, 1, -2**70], [0, 1, 9]], 0),
+])
+def test_constructor_names_cell_with_bad_index(cells, ci):
+    with pytest.raises(IndexOutOfRange, match=(
+            f"^cell {ci} references a vertex outside \\[0, 5\\)$")):
+        PolygonalMesh(_SQUARE_FAN_VERTICES, cells)
+
+
+def test_cells_are_read_only_views_of_one_array():
+    m = generate(MeshFamilySpec("hanging_node", 2))
+    assert all(c.base is not None and not c.flags.writeable for c in m.cells)
+    with pytest.raises(ValueError):
+        m.cells[0][0] = 1
 
 
 def test_json_rejects_degenerate_cell(tmp_path):

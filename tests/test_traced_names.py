@@ -1,22 +1,29 @@
 """The benchmark's tracer (perfbench/spans.py) rebinds polyvem functions
-by name; a rename or a change of kind here breaks `--trace 1` runs."""
+by name; a rename or a change of kind here breaks `--trace 1` runs. Its
+workloads (perfbench/workloads.py) use the mesh API directly."""
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 import polyvem
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_spans():
+    return _load("spans")
 
 
 def test_every_traced_name_resolves():
@@ -49,3 +56,20 @@ def test_cg_span_counts_match_the_matrix():
     assert attrs == {"iters": result.iterations, "n": A.n, "nnz": A.nnz}
     assert A.n == len(system.interior) and result.iterations > 0
     assert A.nnz == np.count_nonzero(A.to_dense())
+
+
+def test_workloads_relabel_keeps_the_mesh():
+    # relabel and _nverts read mesh.cells once per cell; a property that
+    # rebuilt the list on every access would make polygon_file's set-up
+    # quadratic in the cell count
+    from polyvem.mesh import MeshFamilySpec, generate, validate
+
+    workloads = _load("workloads")
+    mesh = generate(MeshFamilySpec("hexagon", 8))
+    assert mesh.cells is mesh.cells
+    relabelled = workloads.relabel(polyvem, mesh, seed=3)
+    assert validate(relabelled).ok
+    assert relabelled.n_vertices == mesh.n_vertices
+    hist = workloads._nverts(relabelled)
+    assert hist == workloads._nverts(mesh) == Counter(
+        len(loop) for loop in mesh.cells)
