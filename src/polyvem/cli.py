@@ -252,6 +252,10 @@ def main(argv=None):
     if not hasattr(args, "func"):
         parser.print_help(sys.stderr)
         return 2
+    if (args.family == "perturbed_quad" and not getattr(args, "mesh", None)
+            and not 0.0 <= args.perturbation < 0.5):
+        print("error: --perturbation must lie in [0, 0.5)", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (VemError, OSError) as exc:

@@ -144,16 +144,15 @@ def harmonic_stiffness(poly, levels=3):
     n = sub.trace.shape[0]
     interior = np.flatnonzero(~sub.boundary)
     liftings = np.array(sub.trace, dtype=float, copy=True)
-    if interior.size:
-        reduced = A.restrict(interior)
-        for i in range(n):
-            rhs = -(A @ liftings[i])[interior]
-            result = cg_solve(reduced, rhs, tol=1e-13)
-            if not result.converged:
-                raise NoConvergence(
-                    f"lifting of hat {i} stalled at relative residual "
-                    f"{result.residual:.3e}")
-            liftings[i, interior] = result.x
+    reduced = A.restrict(interior)
+    for i in range(n):
+        rhs = -(A @ liftings[i])[interior]
+        result = cg_solve(reduced, rhs, tol=1e-13)
+        if not result.converged:
+            raise NoConvergence(
+                f"lifting of hat {i} stalled at relative residual "
+                f"{result.residual:.3e}")
+        liftings[i, interior] = result.x
     products = np.array([A @ liftings[i] for i in range(n)])
     matrix = liftings @ products.T
     return OracleStiffness(matrix=(matrix + matrix.T) / 2.0, levels=levels)

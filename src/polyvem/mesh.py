@@ -259,21 +259,25 @@ def _cell_violations(loops, geo):
     return out
 
 
-def _may_have_close_pair(vertices, tol):
-    """False only if no two vertices lie within tol of each other in both
-    coordinates: a vectorized screen before the exact search.
+def _close_pair_candidates(vertices, tol):
+    """(V,) mask, False only where a vertex lies within tol of no other
+    vertex in both coordinates: a vectorized screen before the exact search.
 
     Sorted by x, vertices split into runs wherever consecutive x differ
     by more than tol; two vertices within tol in x share a run, and in
-    that run sorted by y no gap between them exceeds tol. The gaps are
-    taken on halved coordinates so that they cannot overflow.
+    that run sorted by y no gap between them exceeds tol, so each of the
+    two ends such a gap. The gaps are taken on halved coordinates so that
+    they cannot overflow.
     """
     x, y, tol = vertices[:, 0] / 2, vertices[:, 1] / 2, tol / 2
     order = np.argsort(x, kind="stable")
     run = np.cumsum(np.r_[0, np.diff(x[order]) > tol])
     by_run = np.lexsort((y[order], run))
     run, ys = run[by_run], y[order][by_run]
-    return bool(np.any((run[1:] == run[:-1]) & (np.diff(ys) <= tol)))
+    gap = (run[1:] == run[:-1]) & (np.diff(ys) <= tol)
+    mask = np.zeros(len(vertices), dtype=bool)
+    mask[order[by_run]] = np.r_[gap, False] | np.r_[False, gap]
+    return mask
 
 
 def validate(mesh):
@@ -309,9 +313,11 @@ def validate(mesh):
         # quartered first: the box diagonal overflows for coordinates
         # near +-1e308; scaling by 4 is exact, so tol is unchanged elsewhere
         tol = 4e-12 * float(np.hypot(*(hi / 4 - lo / 4)))
-        if tol > 0 and _may_have_close_pair(mesh.vertices, tol):
+        if tol > 0:
             bins = {}
-            for vi, (x, y) in enumerate(mesh.vertices):
+            for vi in np.flatnonzero(
+                    _close_pair_candidates(mesh.vertices, tol)):
+                x, y = mesh.vertices[vi]
                 keyx, keyy = int(np.floor(x / tol)), int(np.floor(y / tol))
                 for dx in (-1, 0, 1):
                     for dy in (-1, 0, 1):
@@ -370,54 +376,24 @@ def _first_appearance(keys):
     return np.argsort(order)[inverse.ravel()], keys[first[order]]
 
 
-# pointy-top hexagon on the integer lattice, CCW from the lower-right
-_HEX_OFFSETS = ((1, -1), (1, 1), (0, 2), (-1, 1), (-1, -1), (0, -2))
-
-
-def _clip_axis(poly, axis, bound, keep_le):
-    """Sutherland-Hodgman clip of an integer polygon by one axis line.
-
-    Polygon edges here have slope 0 in the clip axis never (hex edges are
-    vertical or slope +-1, and earlier clips only add edges on the clip
-    lines), so every intersection has integer coordinates and the whole
-    construction stays exact.
-    """
-    def inside(p):
-        return p[axis] <= bound if keep_le else p[axis] >= bound
-
-    def crossing(a, b):
-        o = 1 - axis
-        t_num = bound - a[axis]
-        t_den = b[axis] - a[axis]
-        other = a[o] + (b[o] - a[o]) * t_num // t_den
-        return (bound, other) if axis == 0 else (other, bound)
-
-    out = []
-    for a, b in zip(poly, poly[1:] + poly[:1]):
-        if inside(a):
-            out.append(a)
-        if inside(a) != inside(b):
-            out.append(crossing(a, b))
-    return out
-
-
-def _clip_to_window(poly, L):
-    """A lattice polygon (list of points) clipped exactly to [0, L]^2."""
-    for axis, bound, keep_le in ((0, 0, False), (0, L, True),
-                                 (1, 0, False), (1, L, True)):
-        poly = _clip_axis(poly, axis, bound, keep_le)
-    # a vertex on a window side comes out twice
-    poly = [p for k, p in enumerate(poly) if k == 0 or p != poly[k - 1]]
-    return poly[:-1] if poly[0] == poly[-1] else poly
+# the boundary lattice points of a pointy-top hexagon, CCW from the
+# lower-right: its six corners and the midpoints of its two vertical sides
+_HEX_RING = np.array([(1, -1), (1, 0), (1, 1), (0, 2),
+                      (-1, 1), (-1, 0), (-1, -1), (0, -2)])
+_HEX_CORNERS = np.isin(np.arange(8), [0, 2, 3, 4, 6, 7])
 
 
 def _generate_hexagon(n):
     """Hexagon-dominant tiling with exact integer cut cells.
 
     The honeycomb lives on an integer lattice where each hexagon spans 2
-    units across and 4 tall; the window [0, 2n]^2 is clipped out and then
-    scaled by 1/(2n). All clip intersections are integers, so cut cells
-    on the boundary are exact and shared vertices match bit for bit.
+    units across and 4 tall, and the window [0, 2n]^2 is scaled by
+    1/(2n). Hexagon sides are vertical or of slope +-1 and the window
+    sides lie on lattice lines, so they meet only at the 8 points of
+    _HEX_RING: clamping that ring into the window traces the cut cell
+    exactly. A cut cell keeps the corners of its clamped ring, starting
+    from the first ring point inside the window, and shared vertices
+    match bit for bit.
     """
     if n < 2:
         raise UnsupportedResolution("hexagon family requires n >= 2")
@@ -427,18 +403,26 @@ def _generate_hexagon(n):
     # and n on odd rows
     r, c = np.divmod(np.arange(((L + 1) // 3 + 1) * (n + 1)), n + 1)
     keep = c < n + 1 - r % 2
-    hexes = np.column_stack([2 * c + r % 2, 3 * r])[keep, None] + _HEX_OFFSETS
-    full = ((hexes >= 0) & (hexes <= L)).all(axis=(1, 2))
-    cut = [_clip_to_window(list(map(tuple, loop)), L)
-           for loop in hexes[~full].tolist()]
-    sizes = np.full(len(hexes), len(_HEX_OFFSETS))
-    sizes[~full] = list(map(len, cut))
-    keys = np.zeros((len(hexes), sizes.max(), 2), dtype=np.int64)
-    used = np.arange(sizes.max()) < sizes[:, None]
-    keys[used & full[:, None]] = hexes[full].reshape(-1, 2)
-    keys[used & ~full[:, None]] = list(itertools.chain.from_iterable(cut))
-    flat, points = _first_appearance(keys[used])
-    return points * (1.0 / L), flat, sizes
+    rings = np.column_stack([2 * c + r % 2, 3 * r])[keep, None] + _HEX_RING
+    inside = ((rings >= 0) & (rings <= L)).all(axis=2)
+    cut = ~inside.all(axis=1)
+    turn = (inside[cut].argmax(axis=1)[:, None] + np.arange(8)) % 8
+    ring = np.clip(np.take_along_axis(rings[cut], turn[..., None], axis=1),
+                   0, L)
+    step = np.sign(np.roll(ring, -1, axis=1) - ring)
+    moves = step.any(axis=2)
+    # the last move before each point, counting cyclically; a point is a
+    # corner where the direction changes, which skips repeats of a point
+    # and the collinear points the clamp leaves on a window side
+    last = np.maximum.accumulate(np.where(np.tile(moves, 2), np.arange(16),
+                                          0), axis=1)[:, 7:15] % 8
+    corner = moves & (step != np.take_along_axis(step, last[..., None],
+                                                 axis=1)).any(axis=2)
+    rings[cut] = ring
+    used = np.tile(_HEX_CORNERS, (len(rings), 1))
+    used[cut] = corner
+    flat, points = _first_appearance(rings[used])
+    return points * (1.0 / L), flat, used.sum(axis=1)
 
 
 # the cells of hanging_node on its half-step lattice, padded to 5 points,
@@ -537,8 +521,12 @@ def _expect(cond, what):
 
 def read_json(path):
     """Read and validate a mesh file; see write_json for the format."""
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(
+                f"byte {e.start}: not UTF-8 ({e.reason})") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

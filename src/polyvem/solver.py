@@ -19,7 +19,7 @@ from .errors import EmptyInterior, NoConvergence, ValidationError, VemError
 # kept as a module attribute: perfbench's tracing tests look it up here
 from .geometry import cell_geometry  # noqa: F401
 from .linalg import SparseSymMatrix, cg_solve
-from .mesh import boundary_vertices, generate
+from .mesh import generate
 
 CSV_HEADER = "level,h_max,n_dof,err_L2,err_H1,eoc_L2,eoc_H1,cg_iters,wall_ms"
 
@@ -86,7 +86,6 @@ PROBLEMS = {
 class SolveOptions:
     nu_policy: str = "unit"
     tol: float = 1e-12
-    max_iter: int = None
     quad_order: int = 4
 
 
@@ -199,16 +198,13 @@ class DirichletSystem:
     matrix: SparseSymMatrix  # interior block, SPD
     rhs: np.ndarray
     interior: np.ndarray
-    boundary: np.ndarray
     lift: np.ndarray  # full-length vector holding g on the boundary
 
 
 def apply_dirichlet(A, b, mesh, g):
     """Symmetric elimination of boundary dofs fixed to g(vertex)."""
-    bnd = boundary_vertices(mesh)
-    mask = np.zeros(mesh.n_vertices, dtype=bool)
-    mask[bnd] = True
-    interior = np.nonzero(~mask)[0]
+    bnd = mesh.boundary_vertex_flags
+    interior = np.flatnonzero(~bnd)
     lift = np.zeros(mesh.n_vertices)
     lift[bnd] = g(mesh.vertices[bnd, 0], mesh.vertices[bnd, 1])
     if len(interior) == 0:
@@ -216,7 +212,7 @@ def apply_dirichlet(A, b, mesh, g):
     rhs = (b - A @ lift)[interior]
     return DirichletSystem(
         matrix=A.restrict(interior), rhs=rhs,
-        interior=interior, boundary=bnd, lift=lift)
+        interior=interior, lift=lift)
 
 
 def solve(mesh, problem, options=None, stiffness=None):
@@ -233,8 +229,7 @@ def solve(mesh, problem, options=None, stiffness=None):
         mesh, problem, opts.nu_policy, opts.quad_order, stiffness)
     try:
         system = apply_dirichlet(A, b, mesh, problem.g)
-        res = cg_solve(system.matrix, system.rhs,
-                       tol=opts.tol, max_iter=opts.max_iter)
+        res = cg_solve(system.matrix, system.rhs, tol=opts.tol)
         if not res.converged:
             raise NoConvergence(
                 f"CG stalled at relative residual {res.residual:.3e} "
@@ -244,7 +239,7 @@ def solve(mesh, problem, options=None, stiffness=None):
         iters, resid = res.iterations, res.residual
     except EmptyInterior:
         # nothing to solve: the boundary data determines every dof
-        bnd = boundary_vertices(mesh)
+        bnd = mesh.boundary_vertex_flags
         dofs = np.zeros(mesh.n_vertices)
         dofs[bnd] = problem.g(mesh.vertices[bnd, 0], mesh.vertices[bnd, 1])
         iters, resid = 0, 0.0

@@ -116,6 +116,35 @@ def test_run_rejects_mesh_without_cells(tmp_path, capsys):
     assert "no cells" in capsys.readouterr().err
 
 
+def test_run_rejects_mesh_file_that_is_not_utf8(tmp_path, capsys):
+    mesh_file = tmp_path / "utf16.json"
+    mesh_file.write_bytes('{"vertices": [], "cells": []}'.encode("utf-16"))
+    assert main(["run", "--mesh", str(mesh_file)]) == 1
+    assert capsys.readouterr().err.startswith("error: byte 0: not UTF-8")
+
+
+@pytest.mark.parametrize("value", ["0.7", "-0.1", "nan"])
+@pytest.mark.parametrize("command", [
+    ["mesh"], ["run"], ["study", "--out", "never.csv"]])
+def test_perturbation_out_of_range_is_usage_error(
+        tmp_path, monkeypatch, capsys, command, value):
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--family", "perturbed_quad", "--n", "2",
+                 "--perturbation", value]) == 2
+    assert capsys.readouterr().err == (
+        "error: --perturbation must lie in [0, 0.5)\n")
+    assert not (tmp_path / "never.csv").exists()
+
+
+def test_perturbation_is_ignored_off_perturbed_quad(tmp_path, capsys):
+    mesh_file = tmp_path / "m.json"
+    assert main(["mesh", "--family", "quad", "--n", "2", "--perturbation",
+                 "0.7", "--out", str(mesh_file)]) == 0
+    assert main(["run", "--mesh", str(mesh_file), "--family",
+                 "perturbed_quad", "--perturbation", "nan"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_study_csv(tmp_path):
     out = tmp_path / "study.csv"
     assert main(["study", "--family", "quad", "--n", "4", "--levels", "2",

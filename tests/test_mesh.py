@@ -126,6 +126,22 @@ def test_families_validate_and_tile(family, n):
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", range(2, 41))
+def test_hexagon_cells_are_exact_polygons(n):
+    m = generate(MeshFamilySpec("hexagon", n))
+    assert validate(m).ok
+    groups = m.cell_groups()
+    assert sum(geo.area.sum() for _, _, geo in groups) == pytest.approx(
+        1.0, abs=1e-12)
+    # vertices lie on the lattice of spacing 1/(2n): compare exactly there
+    lattice = np.rint(m.vertices * (2 * n)).astype(np.int64)
+    for _, loops, _ in groups:
+        assert (loops != np.roll(loops, -1, axis=1)).all()
+        p = lattice[loops]
+        a, b = p - np.roll(p, 1, axis=1), np.roll(p, -1, axis=1) - p
+        assert (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0] != 0).all()
+
+
 def test_perturbed_boundary_fixed_and_seeded():
     a = generate(MeshFamilySpec("perturbed_quad", 4, seed=7))
     b = generate(MeshFamilySpec("perturbed_quad", 4, seed=7))
@@ -186,6 +202,22 @@ def test_validate_reports_duplicate_vertices():
     cells = [[0, 1, 2], [0, 2, 3]]
     report = validate(PolygonalMesh(verts, cells))
     assert any("closer than" in v for v in report.violations)
+
+
+def test_validate_lists_every_pair_in_a_close_cluster():
+    # four vertices around a bin corner of the close-vertex search, and a
+    # fifth near two of them; vertex 9 shares their x-range but not y
+    tol = 4e-12 * float(np.hypot(0.25, 0.25))
+    b = tol * np.floor(0.5 / tol)
+    d = 0.3 * tol
+    verts = [[0.0, 0.0], [b + d, b - d], [1.0, 0.0], [b - d, b - d],
+             [1.0, 1.0], [b - d, b + d], [0.0, 1.0], [b + d, b + d],
+             [b + 3 * d, b + 0.5 * d], [0.5, 0.25]]
+    cells = [[0, 2, 1], [2, 4, 3], [4, 6, 5], [6, 0, 7], [0, 9, 8]]
+    pairs = [(1, 3), (3, 5), (1, 5), (3, 7), (5, 7), (1, 7), (1, 8), (7, 8)]
+    assert validate(PolygonalMesh(verts, cells)).violations == [
+        f"vertices {i} and {j}: closer than 1e-12 of the domain diameter"
+        for i, j in pairs]
 
 
 def test_validate_reports_orphan_vertex():
@@ -258,10 +290,25 @@ PINNED_MESH_DIGESTS = [
      "a4cf446d4f8b605b6b644987cc06f500d17e7329e06fb2d2df3eebdd2f2d2bed"),
     (("hexagon", 3),
      "fea7332e3a06dacd882c7ff9be1803305adc5118d43d35510ac864596c55619b"),
+    # the top-row cuts depend on 2n mod 3 and the row lengths on n mod 2
+    (("hexagon", 4),
+     "8a63eddd96a7c2ca68917be71134e4d13fcf9572714dd1df72d7b5064ddf9842"),
+    (("hexagon", 5),
+     "fa7b12ab204a92e36af47b27912475038fcb231eaa85838c48ecf10a7929decc"),
+    (("hexagon", 6),
+     "f05e95e07a88be0fc0d13acc0ccc3aeb8732042d3048d4a8ec06d3e58ed5713f"),
+    (("hexagon", 7),
+     "56b81ce3041d0b08a8d707c7618861f0cd8a85d8b50bc70e92e6a8a288a73129"),
     (("hexagon", 8),
      "9427971c0d3af363789e3314b7f3041b45465d08b58e4bad32f5589d5e05cfa3"),
+    (("hexagon", 9),
+     "f75db75efbae7cba3c2f748ec39b84a061624eb186a2528140f0822fba98986e"),
+    (("hexagon", 10),
+     "b5c5895861f7f56df21b36435e86b5c96fcf45073f1e7332011e3e501cab4db7"),
     (("hexagon", 64),
      "e54f40368fdbb5ce1b4809a97a6c06b320b90544539b07d120f24e94ccfb5714"),
+    (("hexagon", 128),
+     "ac75097858373ef2f2429bb36e7e83d73011249081b9ae303a554003472a2796"),
     (("hanging_node", 2),
      "2d3060cfc4e90da94469198d22e5f7b683feef8f5a8ffe14f390e2bc3e49f1b4"),
     (("hanging_node", 8),
@@ -289,6 +336,13 @@ def test_json_parse_errors(tmp_path):
         read_json(p)
     p.write_text('{"vertices": [[0, 0], [1]], "cells": []}')
     with pytest.raises(ParseError, match=r"vertices\[1\]"):
+        read_json(p)
+
+
+def test_json_rejects_text_that_is_not_utf8(tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"vertices": [], "cells": [], "by": "\xe9"}')
+    with pytest.raises(ParseError, match=r"^byte 37: not UTF-8"):
         read_json(p)
 
 
