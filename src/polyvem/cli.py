@@ -8,6 +8,7 @@ reference), plot (SVG wireframe or filled solution), dump-element
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -54,6 +55,7 @@ def _add_solve_flags(p):
                    help="quadrature order for loads and errors (default 4)")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="polyvem",

@@ -5,6 +5,7 @@ starts, and summation orders fixed by the data layout, so repeated runs
 produce bit-identical results.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,17 @@ from .errors import (
 
 # entries smaller than this are treated as structural zeros
 _DROP_TOL = 1e-300
+
+
+def _stable_order(keys, bound):
+    """np.argsort(keys, kind="stable") for keys in [0, bound). Where it
+    fits in int64, this sorts the unique keys keys*T + position instead:
+    a unique key has one sorted order, and numpy's default sort finds it
+    several times faster than the stable one."""
+    t = len(keys)
+    if bound * t < 2 ** 63:
+        return np.argsort(keys * t + np.arange(t))
+    return np.argsort(keys, kind="stable")
 
 
 def _searchsorted(keys, needles):
@@ -82,7 +94,7 @@ class SparseSymMatrix:
             raise IndexOutOfRange(f"triplet index outside [0, {n})")
 
         keys = rows * n + cols
-        order = np.argsort(keys, kind="stable")
+        order = _stable_order(keys, int(n) ** 2)
         keys = keys[order]
         starts = np.flatnonzero(np.diff(keys, prepend=-1))
         keys = keys[starts]
@@ -92,7 +104,13 @@ class SparseSymMatrix:
         # symmetry: R = A - A^T must vanish to round-off; an entry whose
         # mirror is absent stands for R[r, c] = v and R[c, r] = -v
         mirror = c * n + r
-        at = np.minimum(_searchsorted(keys, mirror), len(keys) - 1)
+        # on a symmetric pattern the mirrors are a permutation of the
+        # sorted keys, and inverting their sort order finds each one
+        perm = np.argsort(mirror)
+        at = np.empty_like(perm)
+        at[perm] = np.arange(len(perm))
+        if not np.array_equal(keys[at], mirror):
+            at = np.minimum(_searchsorted(keys, mirror), len(keys) - 1)
         resid = np.where(keys[at] == mirror, v - v[at], v)
         vmax = float(np.abs(v).max()) if len(v) else 0.0
         if vmax > 0 and np.abs(resid).max() > 1e-14 * vmax:
@@ -115,7 +133,7 @@ class SparseSymMatrix:
 
     def matvec(self, x):
         x = np.asarray(x, dtype=float)
-        y = np.einsum("ij,ij->i", self._ell_vals, x[self._ell_cols])
+        y = np.einsum("ij,ij->i", self._ell_vals, np.take(x, self._ell_cols))
         if self._overflow is not None:
             rows, cols, vals = self._overflow
             y += np.bincount(rows, weights=vals * x[cols], minlength=self.n)
@@ -182,27 +200,31 @@ def cg_solve(A, b, tol=1e-12, max_iter=None):
         raise ZeroDiagonal(f"row {int(bad[0])} has nonpositive diagonal")
     minv = 1.0 / diag
 
+    # x, r, z and p are updated in place through one scratch vector; each
+    # update rounds exactly as its out-of-place form (a + b == b + a)
     x = np.zeros(n)
     r = b.copy()
     z = minv * r
     p = z.copy()
+    scratch = np.empty(n)
     rz = float(r @ z)
     for it in range(1, max_iter + 1):
         q = A @ p
         pq = float(p @ q)
-        if pq <= 0.0:
-            return CGResult(x, it - 1, float(np.linalg.norm(r)) / nb, False)
+        if not pq > 0.0:  # also stops at the first NaN
+            return CGResult(x, it - 1, math.sqrt(r @ r) / nb, False)
         alpha = rz / pq
-        x += alpha * p
-        r -= alpha * q
-        rn = float(np.linalg.norm(r))
+        x += np.multiply(alpha, p, out=scratch)
+        r -= np.multiply(alpha, q, out=scratch)
+        rn = math.sqrt(r @ r)
         if rn <= tol * nb:
             return CGResult(x, it, rn / nb, True)
-        z = minv * r
+        np.multiply(minv, r, out=z)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
-    return CGResult(x, max_iter, float(np.linalg.norm(r)) / nb, False)
+    return CGResult(x, max_iter, math.sqrt(r @ r) / nb, False)
 
 
 def dense_sym_eigen(M, compute_vectors=False):

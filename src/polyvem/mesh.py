@@ -24,6 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import CellBatch
+from .linalg import _stable_order
 
 FAMILIES = ("quad", "perturbed_quad", "triangle", "hexagon", "hanging_node")
 
@@ -140,13 +141,14 @@ class PolygonalMesh:
         head = tail[head_at]
         keep = tail != head
         tail, head = tail[keep], head[keep]
-        lo, hi = np.minimum(tail, head), np.maximum(tail, head)
-        order = np.lexsort((hi, lo))  # stable: cell order within an edge
-        lo, hi, tail = lo[order], hi[order], tail[order]
-        new = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        first = np.flatnonzero(np.r_[len(lo) > 0, new])
-        counts = np.diff(np.r_[first, len(lo)])
-        self.edges = np.column_stack([lo[first], hi[first]])
+        # edge key lo * V + hi, sorted stably: cell order within an edge
+        nv = len(self.vertices)
+        key = np.minimum(tail, head) * nv + np.maximum(tail, head)
+        order = _stable_order(key, nv * nv)
+        key, tail = key[order], tail[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        counts = np.diff(np.r_[first, len(key)])
+        self.edges = np.column_stack(np.divmod(key[first], nv))
         # per edge: first traversal, number of traversals, and the tail of
         # every traversal in edge order, for validate()
         self._edge_first, self._edge_counts = first, counts

@@ -271,9 +271,13 @@ def error_norms(sol, problem, quad_order=4):
             dx = gx - c1h[cells]
             dy = gy - c2h[cells]
             e_h1 += float(np.einsum("cq,cq->", w, dx * dx + dy * dy))
+    err_l2, err_h1 = math.sqrt(e_l2), math.sqrt(e_h1)
+    for name, err in (("err_L2", err_l2), ("err_H1", err_h1)):
+        if not math.isfinite(err):
+            raise VemError(f"error norm {name} is not finite ({err})")
     return ErrorReport(
         h_max=mesh.max_diameter(), n_dof=mesh.n_vertices,
-        err_L2=math.sqrt(e_l2), err_H1=math.sqrt(e_h1),
+        err_L2=err_l2, err_H1=err_h1,
         cg_iterations=sol.cg_iterations, wall_time=sol.wall_time)
 
 

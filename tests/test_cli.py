@@ -109,6 +109,30 @@ def test_run_rejects_self_winding_cell(tmp_path, capsys):
     assert "cell 0: winds more than once" in capsys.readouterr().err
 
 
+def test_run_rejects_non_finite_error_norm(tmp_path, capsys):
+    # quad n=8 scaled by 1e60 solves, but its squared L2 error overflows
+    mesh = generate(MeshFamilySpec("quad", 8))
+    mesh_file = tmp_path / "scaled.json"
+    mesh_file.write_text(json.dumps(
+        {"vertices": (mesh.vertices * 1e60).tolist(),
+         "cells": [c.tolist() for c in mesh.cells]}))
+    assert main(["run", "--mesh", str(mesh_file)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: error norm err_L2 is not finite (inf)\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n", "0"], "resolution must be a positive integer"),
+    (["--family", "hexagon", "--n", "1"], "hexagon family requires n >= 2"),
+    (["--family", "hanging_node", "--n", "3"],
+     "hanging_node family requires even n >= 2"),
+], ids=["n0", "hexagon1", "hanging_node3"])
+def test_unbuildable_resolution_exits_one(capsys, args, message):
+    assert main(["mesh", *args]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_run_rejects_mesh_without_cells(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text('{"vertices": [], "cells": []}\n')

@@ -12,10 +12,13 @@ from polyvem.errors import (
 from polyvem.linalg import (
     SparseSymMatrix,
     _searchsorted,
+    _stable_order,
     cg_solve,
     dense_sym_eigen,
     generalized_eig_bounds,
 )
+from polyvem.mesh import MeshFamilySpec, generate
+from polyvem.solver import PROBLEMS, apply_dirichlet, assemble
 
 
 def test_from_triplets_dedup():
@@ -214,15 +217,45 @@ def test_matvec_of_an_arrow_matrix_pads_no_row_to_the_full_width():
     assert np.allclose(A.to_dense() @ res.x, 1.0, rtol=0, atol=1e-10)
 
 
+def _reference_from_triplets(n, rows, cols, values):
+    """from_triplets with one stable argsort and a plain np.searchsorted
+    for the mirrors: (indptr, indices, data), or AsymmetricMatrix with the
+    same message."""
+    keys = rows * n + cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    keys = keys[starts]
+    v = np.add.reduceat(values[order], starts) if len(keys) else values
+    r, c = np.divmod(keys, n)
+    mirror = c * n + r
+    at = np.minimum(np.searchsorted(keys, mirror), len(keys) - 1)
+    resid = np.where(keys[at] == mirror, v - v[at], v)
+    vmax = float(np.abs(v).max()) if len(v) else 0.0
+    if vmax > 0 and np.abs(resid).max() > 1e-14 * vmax:
+        hit = np.flatnonzero(np.abs(resid) == np.abs(resid).max())
+        k = hit[np.where(r < c, keys, mirror)[hit].argmin()]
+        worst = resid[k] if r[k] < c[k] else -resid[k]
+        raise AsymmetricMatrix(
+            f"triplets are not symmetric (residual {worst:.3e} "
+            f"against max entry {vmax:.3e})")
+    keep = np.abs(v) >= 1e-300
+    return (np.searchsorted(r[keep], np.arange(n + 1)), c[keep], v[keep])
+
+
 def test_mirror_lookup_matches_unsorted_searchsorted(monkeypatch):
-    # from_triplets looks each entry's mirror up with sorted needles; on
-    # triplet sets with missing mirrors, duplicates and entries small
-    # enough to be dropped, that lookup must equal numpy's own
+    # from_triplets finds mirrors by inverting their sort order and falls
+    # back to a search with sorted needles when the pattern is not
+    # symmetric; on triplet sets with missing mirrors, duplicates and
+    # entries small enough to be dropped, both must give what a stable
+    # sort and numpy's own search give: the same arrays or the same error
     calls = []
 
     def spy(keys, needles):
         at = _searchsorted(keys, needles)
-        calls.append((keys, needles, at))
+        assert at.dtype == np.intp
+        assert np.array_equal(at, np.searchsorted(keys, needles))
+        calls.append(len(needles))
         return at
 
     monkeypatch.setattr(linalg, "_searchsorted", spy)
@@ -239,15 +272,36 @@ def test_mirror_lookup_matches_unsorted_searchsorted(monkeypatch):
         v, mirrored = v[:m], mirrored[:m]
         # mirror most entries, so that some sets pass the symmetry check
         r, c = np.r_[r, c[mirrored]], np.r_[c, r[mirrored]]
+        v = np.r_[v, v[mirrored]]
         try:
-            SparseSymMatrix.from_triplets(n, r, c, np.r_[v, v[mirrored]])
-            symmetric += 1
-        except AsymmetricMatrix:
-            pass
-    assert len(calls) == sets and 0 < symmetric < sets
-    for keys, needles, at in calls:
-        assert at.dtype == np.intp
-        assert np.array_equal(at, np.searchsorted(keys, needles))
+            want = _reference_from_triplets(n, r, c, v)
+        except AsymmetricMatrix as exc:
+            with pytest.raises(AsymmetricMatrix) as got:
+                SparseSymMatrix.from_triplets(n, r, c, v)
+            assert str(got.value) == str(exc)
+            continue
+        A = SparseSymMatrix.from_triplets(n, r, c, v)
+        for got, ref in zip((A.indptr, A.indices, A.data), want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        symmetric += 1
+    assert 0 < symmetric < sets
+    # both lookups ran: the inverse permutation on the symmetric patterns,
+    # the search on the others
+    assert 0 < len(calls) < sets
+
+
+@pytest.mark.parametrize("bound", [None, 2 ** 62],
+                         ids=["unique-key", "stable-fallback"])
+def test_stable_order_is_the_stable_argsort(bound):
+    # many duplicates, so that a sort that is not stable would show; a
+    # bound of 2**62 forces the stable-sort branch
+    rng = np.random.default_rng(11)
+    for t in (0, 1, 2, 17, 1000, 50000):
+        keys = rng.integers(0, 1 + t // 20, t)
+        b = int(keys.max(initial=0)) + 1 if bound is None else bound
+        order = _stable_order(keys, b)
+        assert order.dtype == np.intp
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
 
 
 def test_restrict_submatrix():
@@ -304,6 +358,73 @@ def test_cg_iteration_cap():
     res = cg_solve(A, np.ones(30), tol=1e-15, max_iter=2)
     assert not res.converged
     assert res.iterations == 2
+
+
+def _reference_cg(A, b, tol=1e-12):
+    """The out-of-place Jacobi-CG loop that cg_solve's in-place one must
+    match bit for bit: (x, iterations, residual)."""
+    nb = float(np.linalg.norm(b))
+    minv = 1.0 / A.diagonal()
+    x = np.zeros(A.n)
+    r = b.copy()
+    z = minv * r
+    p = z.copy()
+    rz = float(r @ z)
+    for it in range(1, 10 * A.n + 1):
+        q = A @ p
+        pq = float(p @ q)
+        alpha = rz / pq
+        x += alpha * p
+        r -= alpha * q
+        rn = float(np.linalg.norm(r))
+        if rn <= tol * nb:
+            return x, it, rn / nb
+        z = minv * r
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise AssertionError("reference CG did not converge")
+
+
+def _interior_system(family, n, seed=0):
+    mesh = generate(MeshFamilySpec(family, n, seed=seed))
+    problem = PROBLEMS["sinsin"]()
+    A, b = assemble(mesh, problem)
+    system = apply_dirichlet(A, b, mesh, problem.g)
+    return system.matrix, system.rhs
+
+
+def _random_spd_system():
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((60, 60))
+    d = B.T @ B + 0.5 * np.eye(60)
+    r, c = np.nonzero(d)
+    return (SparseSymMatrix.from_triplets(60, r, c, d[r, c]),
+            rng.standard_normal(60))
+
+
+@pytest.mark.parametrize("system", [
+    lambda: _interior_system("hexagon", 16),
+    lambda: _interior_system("perturbed_quad", 16, seed=7),
+    _random_spd_system,
+], ids=["hexagon16", "perturbed_quad16_seed7", "random_spd"])
+def test_cg_matches_the_out_of_place_loop_bitwise(system):
+    A, b = system()
+    x, iterations, residual = _reference_cg(A, b)
+    res = cg_solve(A, b)
+    assert res.converged and iterations > 10
+    assert np.array_equal(res.x, x)
+    assert res.iterations == iterations and res.residual == residual
+
+
+def test_cg_stops_at_the_first_non_finite_curvature():
+    # a NaN right-hand side makes p.Aq NaN on the first step; CG stops
+    # there instead of running its 10 n iterations on NaN
+    A = SparseSymMatrix.from_triplets(
+        3, [0, 0, 1, 1, 2], [0, 1, 0, 1, 2], [4.0, 1.0, 1.0, 3.0, 2.0])
+    res = cg_solve(A, np.array([1.0, np.nan, 0.0]))
+    assert not res.converged and res.iterations == 0
+    assert np.isnan(res.residual)
 
 
 def test_eigen_2x2():
