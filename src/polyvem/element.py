@@ -95,16 +95,19 @@ class ElementBatch:
                 np.where(singular[:, None, None], np.eye(3), G), B)
             G_tilde = G.copy()
             G_tilde[:, 0, :] = 0.0
-            Pi_star_T = np.swapaxes(Pi_star, 1, 2)
             Pi = D @ Pi_star
-            Kc = Pi_star_T @ G_tilde @ Pi_star
             R = np.eye(D.shape[1]) - Pi
-            S = np.swapaxes(R, 1, 2) @ R
+            K = np.swapaxes(R, 1, 2) @ R
+            del R
+            Kc = np.swapaxes(Pi_star, 1, 2) @ G_tilde @ Pi_star
             if nu_policy == "unit":
                 nu = np.ones(len(D))
             else:
                 nu = 0.5 * np.trace(Kc, axis1=1, axis2=2)
-            K = Kc + nu[:, None, None] * S
+            # K = Kc + nu * S, formed in S's memory: the same two roundings
+            K *= nu[:, None, None]
+            K += Kc
+            del Kc
         self.D, self.B, self.G, self.G_tilde = D, B, G, G_tilde
         self.Pi_star, self.Pi, self.K, self.nu = Pi_star, Pi, K, nu
         self.det, self.singular = det, singular

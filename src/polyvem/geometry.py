@@ -94,7 +94,7 @@ class CellBatch:
         with np.errstate(all="ignore"):
             diameter = _diameters(v)
             d = vn - v
-            lengths = np.sqrt((d * d).sum(axis=-1))
+            lengths = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
             normals = np.stack([d[..., 1], -d[..., 0]], axis=-1)
             normals /= lengths[..., None]
             cross = x * yn - xn * y

@@ -122,11 +122,15 @@ def p1_stiffness(triangles):
     # grad lambda_i = e_i rotated by 90 degrees / (2A)
     e = tri[..., [2, 0, 1], :] - tri[..., [1, 2, 0], :]
     area2 = -(tri[..., 0] * e[..., 1]).sum(axis=-1)
-    bad = np.flatnonzero(area2 <= 1e-14 * (e * e).sum(axis=-1).max(axis=-1))
+    x, y = e[..., 0], e[..., 1]
+    # x + y rounds as a sum over the length-2 axis, at a fraction of its
+    # cost; only a zero can differ (-0.0 for +0.0), and a zero entry is
+    # dropped in assembly
+    bad = np.flatnonzero(area2 <= 1e-14 * (x * x + y * y).max(axis=-1))
     if bad.size:
         raise DegenerateTriangle(
             f"signed doubled area {area2.flat[bad[0]]:.3e}")
-    ee = (e[..., :, None, :] * e[..., None, :, :]).sum(axis=-1)
+    ee = x[..., :, None] * x[..., None, :] + y[..., :, None] * y[..., None, :]
     return ee / (2.0 * area2)[..., None, None]
 
 

@@ -29,7 +29,9 @@ def _stable_order(keys, bound):
     several times faster than the stable one."""
     t = len(keys)
     if bound * t < 2 ** 63:
-        return np.argsort(keys * t + np.arange(t))
+        unique = keys * t
+        unique += np.arange(t)
+        return np.argsort(unique)
     return np.argsort(keys, kind="stable")
 
 
@@ -93,12 +95,18 @@ class SparseSymMatrix:
                           or cols.min() < 0 or cols.max() >= n):
             raise IndexOutOfRange(f"triplet index outside [0, {n})")
 
-        keys = rows * n + cols
+        # each temporary is deleted at its last use, which bounds the peak
+        keys = rows * n
+        keys += cols
         order = _stable_order(keys, int(n) ** 2)
         keys = keys[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        starts = np.empty(len(keys), dtype=bool)
+        starts[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+        starts = np.flatnonzero(starts)
         keys = keys[starts]
         v = np.add.reduceat(values[order], starts) if len(keys) else values
+        del order, starts
         r, c = np.divmod(keys, n)
 
         # symmetry: R = A - A^T must vanish to round-off; an entry whose
@@ -109,9 +117,11 @@ class SparseSymMatrix:
         perm = np.argsort(mirror)
         at = np.empty_like(perm)
         at[perm] = np.arange(len(perm))
+        del perm
         if not np.array_equal(keys[at], mirror):
             at = np.minimum(_searchsorted(keys, mirror), len(keys) - 1)
         resid = np.where(keys[at] == mirror, v - v[at], v)
+        del at
         vmax = float(np.abs(v).max()) if len(v) else 0.0
         if vmax > 0 and np.abs(resid).max() > 1e-14 * vmax:
             # R is antisymmetric: its first worst entry in (row, col)
@@ -122,10 +132,12 @@ class SparseSymMatrix:
             raise AsymmetricMatrix(
                 f"triplets are not symmetric (residual {worst:.3e} "
                 f"against max entry {vmax:.3e})")
+        del resid, mirror, keys
 
         keep = np.abs(v) >= _DROP_TOL
-        return cls(n, np.searchsorted(r[keep], np.arange(n + 1)),
-                   c[keep], v[keep])
+        if not keep.all():
+            r, c, v = r[keep], c[keep], v[keep]
+        return cls(n, np.searchsorted(r, np.arange(n + 1)), c, v)
 
     @property
     def nnz(self):
@@ -191,6 +203,11 @@ def cg_solve(A, b, tol=1e-12, max_iter=None):
     n = A.n
     if max_iter is None:
         max_iter = 10 * n
+    # CG runs on b * 2^-e with the largest |b_i| in [0.5, 1), so its dot
+    # products cannot overflow; a power of two scales every iterate,
+    # alpha and beta exactly, and x is scaled back on return
+    e = int(np.frexp(np.abs(b).max(initial=0.0))[1])
+    b = np.ldexp(b, -e)
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
         return CGResult(np.zeros(n), 0, 0.0, True)
@@ -203,28 +220,32 @@ def cg_solve(A, b, tol=1e-12, max_iter=None):
     # x, r, z and p are updated in place through one scratch vector; each
     # update rounds exactly as its out-of-place form (a + b == b + a)
     x = np.zeros(n)
-    r = b.copy()
+    r = b
     z = minv * r
     p = z.copy()
     scratch = np.empty(n)
+
+    def result(iterations, rn, converged):
+        return CGResult(np.ldexp(x, e, out=x), iterations, rn / nb, converged)
+
     rz = float(r @ z)
     for it in range(1, max_iter + 1):
         q = A @ p
         pq = float(p @ q)
         if not pq > 0.0:  # also stops at the first NaN
-            return CGResult(x, it - 1, math.sqrt(r @ r) / nb, False)
+            return result(it - 1, math.sqrt(r @ r), False)
         alpha = rz / pq
         x += np.multiply(alpha, p, out=scratch)
         r -= np.multiply(alpha, q, out=scratch)
         rn = math.sqrt(r @ r)
         if rn <= tol * nb:
-            return CGResult(x, it, rn / nb, True)
+            return result(it, rn, True)
         np.multiply(minv, r, out=z)
         rz_new = float(r @ z)
         p *= rz_new / rz
         p += z
         rz = rz_new
-    return CGResult(x, max_iter, math.sqrt(r @ r) / nb, False)
+    return result(max_iter, math.sqrt(r @ r), False)
 
 
 def dense_sym_eigen(M, compute_vectors=False):

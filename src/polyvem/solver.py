@@ -148,12 +148,20 @@ def _assemble_parts(mesh, problem, nu_policy, quad_order, stiffness=None):
     """One batched pass per vertex count: stiffness triplets, load and
     the projector of every cell, as (ids, loops, Pi_star) per group.
     The local stiffness of a group is stiffness(vertices (C, N, 2)), or
-    the element's K when stiffness is None."""
+    the element's K when stiffness is None. The triplets of each group
+    go straight into three arrays sized once for the whole mesh."""
     if mesh.n_cells == 0:
         raise ValidationError("mesh has no cells")
-    rows, cols, vals, at, load = [], [], [], [], []
+    groups = mesh.cell_groups()
+    size = sum(loops.size * loops.shape[1] for _, loops, geo in groups
+               if geo is not None)
+    rows = np.empty(size, dtype=np.int64)
+    cols = np.empty(size, dtype=np.int64)
+    vals = np.empty(size)
+    b = np.zeros(mesh.n_vertices)
     projectors, failures = [], []
-    for ids, loops, geo in mesh.cell_groups():
+    end = 0
+    for ids, loops, geo in groups:
         if geo is None:
             failures.append((ids[0], ValueError(
                 "polygon must be an (N, 2) array with N >= 3")))
@@ -163,22 +171,25 @@ def _assemble_parts(mesh, problem, nu_policy, quad_order, stiffness=None):
         if failure is not None:
             failures.append((ids[failure[0]], failure[1]))
             continue
-        n = loops.shape[1]
-        rows.append(np.repeat(loops, n, axis=1).ravel())
-        cols.append(np.tile(loops, (1, n)).ravel())
-        K = el.K if stiffness is None else stiffness(geo.vertices)
-        vals.append(K.ravel())
-        at.append(loops.ravel())
-        load.append(np.repeat(_integrals(geo, problem.f, quad_order) / n, n))
         projectors.append((ids, loops, el.Pi_star))
+        K = el.K if stiffness is None else stiffness(geo.vertices)
+        del el  # of its element matrices, only K and Pi_star stay alive
+        c, n = loops.shape
+        start, end = end, end + c * n * n
+        # the (row, col, value) of entry (i, j) of cell k sit at k, i, j
+        rows[start:end].reshape(c, n, n)[:] = loops[:, :, None]
+        cols[start:end].reshape(c, n, n)[:] = loops[:, None, :]
+        vals[start:end].reshape(c, n, n)[:] = K
+        del K
+        # np.add.at adds in index order, so one call per group sums as
+        # one call over the concatenated groups would
+        np.add.at(b, loops,
+                  (_integrals(geo, problem.f, quad_order) / n)[:, None])
     if failures:
         ci, error = min(failures, key=lambda f: f[0])
         if not isinstance(error, VemError):
             raise error
         raise type(error)(f"cell {ci}: {error}") from error
-    b = np.zeros(mesh.n_vertices)
-    np.add.at(b, np.concatenate(at), np.concatenate(load))
-    rows, cols, vals = (np.concatenate(p) for p in (rows, cols, vals))
     A = SparseSymMatrix.from_triplets(mesh.n_vertices, rows, cols, vals)
     return A, b, projectors
 

@@ -217,3 +217,29 @@ def test_one_cell_errors_keep_their_types():
         fan_quadrature(STAPLE)
     with pytest.raises(VemError):
         cell_geometry(STAPLE[::-1])
+
+
+@pytest.mark.parametrize("nu_policy", ["unit", "trace"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_in_place_stiffness_is_the_out_of_place_sum(family, nu_policy):
+    # K is formed in the memory of S = (I - Pi)^T (I - Pi) as S *= nu,
+    # S += Kc; that must round exactly as Kc + nu * S
+    mesh = generate(MeshFamilySpec(family, 8))
+    for _, _, geo in mesh.cell_groups():
+        el = ElementBatch.of(geo, nu_policy)
+        Kc = np.swapaxes(el.Pi_star, 1, 2) @ el.G_tilde @ el.Pi_star
+        R = np.eye(el.K.shape[1]) - el.Pi
+        S = np.swapaxes(R, 1, 2) @ R
+        nu = (np.ones(len(geo)) if nu_policy == "unit"
+              else 0.5 * np.trace(Kc, axis1=1, axis2=2))
+        assert np.array_equal(el.nu, nu)
+        assert np.array_equal(el.K, Kc + nu[:, None, None] * S)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_edge_lengths_equal_the_sum_over_the_coordinate_axis(family):
+    mesh = generate(MeshFamilySpec(family, 16))
+    for _, _, geo in mesh.cell_groups():
+        d = np.roll(geo.vertices, -1, axis=1) - geo.vertices
+        want = np.sqrt((d * d).sum(axis=-1))
+        assert np.array_equal(geo.edge_lengths, want)

@@ -1,5 +1,7 @@
 import json
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +122,29 @@ def test_run_rejects_non_finite_error_norm(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: error norm err_L2 is not finite (inf)\n"
+
+
+def test_run_with_huge_coordinates_raises_no_numpy_warning(tmp_path,
+                                                          capsys):
+    # hexagon n=8 scaled by 1e80 has load entries past 1e154, whose
+    # squares overflow; CG scales them by a power of two first
+    mesh = generate(MeshFamilySpec("hexagon", 8))
+    mesh_file = tmp_path / "huge.json"
+    mesh_file.write_text(json.dumps(
+        {"vertices": (mesh.vertices * 1e80).tolist(),
+         "cells": [c.tolist() for c in mesh.cells]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["run", "--mesh", str(mesh_file), "--format", "json"])
+    out, err = capsys.readouterr()
+    if rc == 0:
+        report = json.loads(out)
+        assert err == ""
+        assert math.isfinite(report["err_L2"])
+        assert math.isfinite(report["err_H1"])
+    else:
+        assert rc == 1 and out == ""
+        assert re.fullmatch(r"error: [^\n]+\n", err)
 
 
 @pytest.mark.parametrize("args, message", [

@@ -13,6 +13,7 @@ from polyvem.harmonic_fem import (
 )
 from polyvem.linalg import dense_sym_eigen
 from polyvem.mesh import (
+    FAMILIES,
     MeshFamilySpec,
     PolygonalMesh,
     boundary_vertices,
@@ -164,6 +165,29 @@ def test_p1_stiffness_batch_rejects_one_degenerate_triangle():
     stack = np.array([TRIANGLE, TRIANGLE, flat, TRIANGLE])
     with pytest.raises(DegenerateTriangle):
         p1_stiffness(stack)
+
+
+def _p1_stiffness_by_axis_sums(tri):
+    e = tri[..., [2, 0, 1], :] - tri[..., [1, 2, 0], :]
+    area2 = -(tri[..., 0] * e[..., 1]).sum(axis=-1)
+    ee = (e[..., :, None, :] * e[..., None, :, :]).sum(axis=-1)
+    return ee / (2.0 * area2)[..., None, None]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_p1_stiffness_equals_the_sums_over_the_coordinate_axis(family):
+    # the two-term sums x + y replace sums over the length-2 axis; they
+    # may give -0.0 where the axis sum gives +0.0, which array_equal
+    # accepts and assembly drops
+    mesh = generate(MeshFamilySpec(family, 16))
+    stacks = [mesh.vertices[loops] for _, loops, _ in mesh.cell_groups()
+              if loops.shape[1] == 3]
+    for ci in (0, mesh.n_cells // 2):
+        sub = subtriangulate(mesh.vertices[mesh.cells[ci]], 4)
+        stacks.append(sub.points[sub.triangles])
+    for tri in stacks:
+        assert np.array_equal(p1_stiffness(tri),
+                              _p1_stiffness_by_axis_sums(tri))
 
 
 def test_triangle_lifting_is_exact():

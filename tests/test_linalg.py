@@ -17,8 +17,11 @@ from polyvem.linalg import (
     dense_sym_eigen,
     generalized_eig_bounds,
 )
-from polyvem.mesh import MeshFamilySpec, generate
+from polyvem.harmonic_fem import _submesh_stiffness, subtriangulate
+from polyvem.mesh import FAMILIES, MeshFamilySpec, generate
 from polyvem.solver import PROBLEMS, apply_dirichlet, assemble
+
+from conftest import captured_triplets
 
 
 def test_from_triplets_dedup():
@@ -290,6 +293,42 @@ def test_mirror_lookup_matches_unsorted_searchsorted(monkeypatch):
     assert 0 < len(calls) < sets
 
 
+def _assembly(family):
+    mesh = generate(MeshFamilySpec(family, 16, seed=7))
+    return lambda: assemble(mesh, PROBLEMS["sinsin"]())
+
+
+def _oracle_submesh(family):
+    mesh = generate(MeshFamilySpec(family, 4, seed=7))
+    poly = mesh.vertices[mesh.cells[mesh.n_cells // 2]]
+    return lambda: _submesh_stiffness(subtriangulate(poly, 4))
+
+
+@pytest.mark.parametrize("build", [_assembly, _oracle_submesh],
+                         ids=["assembly", "oracle-level4"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_from_triplets_matches_a_unique_and_bincount_reference(
+        monkeypatch, family, build):
+    # the pattern from np.unique, the sums from np.bincount. bincount
+    # adds a position's terms left to right and np.add.reduceat as
+    # a1 + (a2 + ...), so data may differ in the last bit of an entry
+    # with three or more terms; the parent algorithm gives it exactly
+    [(n, rows, cols, values)] = captured_triplets(monkeypatch,
+                                                  build(family))
+    A = SparseSymMatrix.from_triplets(n, rows, cols, values)
+    keys, inverse = np.unique(rows * n + cols, return_inverse=True)
+    data = np.bincount(inverse, weights=values)
+    bound = 8 * np.finfo(float).eps * np.bincount(inverse, np.abs(values))
+    keep = np.abs(data) >= 1e-300
+    r, c = np.divmod(keys[keep], n)
+    assert np.array_equal(A.indptr, np.searchsorted(r, np.arange(n + 1)))
+    assert np.array_equal(A.indices, c)
+    assert np.all(np.abs(A.data - data[keep]) <= bound[keep])
+    for got, ref in zip((A.indptr, A.indices, A.data),
+                        _reference_from_triplets(n, rows, cols, values)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
 @pytest.mark.parametrize("bound", [None, 2 ** 62],
                          ids=["unique-key", "stable-fallback"])
 def test_stable_order_is_the_stable_argsort(bound):
@@ -415,6 +454,19 @@ def test_cg_matches_the_out_of_place_loop_bitwise(system):
     assert res.converged and iterations > 10
     assert np.array_equal(res.x, x)
     assert res.iterations == iterations and res.residual == residual
+
+
+@pytest.mark.parametrize("k", [600, -600])
+def test_cg_is_exact_under_power_of_two_scaling(k):
+    # at 2^600 the dot products of the unscaled loop overflow, at 2^-600
+    # they underflow; CG scales b into [0.5, 1) first, so neither happens
+    A, b = _random_spd_system()
+    res = cg_solve(A, b)
+    scaled = cg_solve(A, 2.0 ** k * b)
+    assert res.converged and scaled.converged
+    assert np.array_equal(scaled.x, 2.0 ** k * res.x)
+    assert scaled.iterations == res.iterations
+    assert scaled.residual == res.residual
 
 
 def test_cg_stops_at_the_first_non_finite_curvature():

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from polyvem.element import build_element
+from polyvem import solver
+from polyvem.element import ElementBatch, build_element
 from polyvem.errors import EmptyInterior
 from polyvem.geometry import cell_geometry
 from polyvem.linalg import dense_sym_eigen
 from polyvem.mesh import (
+    FAMILIES,
     MeshFamilySpec,
     PolygonalMesh,
     boundary_vertices,
@@ -26,6 +28,8 @@ from polyvem.solver import (
     solve,
     write_csv,
 )
+
+from conftest import captured_triplets, traced_peak
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
@@ -254,3 +258,45 @@ def test_csv_deterministic_except_wall(tmp_path):
     rows2 = [line.split(",") for line in p2.read_text().splitlines()]
     for r1, r2 in zip(rows1, rows2):
         assert r1[:-1] == r2[:-1]  # wall_ms is the only timing column
+
+
+@pytest.mark.parametrize("nu_policy", ["unit", "trace"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_assembly_triplets_and_load_keep_the_group_order(
+        monkeypatch, family, nu_policy):
+    # the triplets are written group by group into one buffer; they must
+    # be what np.repeat, np.tile and the concatenation of every group's
+    # K give, and the per-group load sums what one np.add.at over all
+    # groups sums
+    mesh = generate(MeshFamilySpec(family, 8, seed=3))
+    problem = sinsin_problem()
+    [(_, rows, cols, values)] = captured_triplets(
+        monkeypatch, lambda: assemble(mesh, problem, nu_policy))
+    _, b = assemble(mesh, problem, nu_policy)
+    want = [np.concatenate(parts) for parts in zip(*(
+        (np.repeat(loops, loops.shape[1], axis=1).ravel(),
+         np.tile(loops, (1, loops.shape[1])).ravel(),
+         ElementBatch.of(geo, nu_policy).K.ravel(),
+         loops.ravel(),
+         np.repeat(solver._integrals(geo, problem.f, 4) / loops.shape[1],
+                   loops.shape[1]))
+        for _, loops, geo in mesh.cell_groups()))]
+    assert rows.dtype == cols.dtype == np.int64
+    for got, ref in zip((rows, cols, values), want):
+        assert np.array_equal(got, ref)
+    load = np.zeros(mesh.n_vertices)
+    np.add.at(load, want[3], want[4])
+    assert np.array_equal(b, load)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_solve_peak_memory_per_stiffness_triplet(family):
+    # solve keeps one triplet buffer, one group's elements at a time and
+    # the CSR matrix with its row-padded copy; 100 bytes per triplet
+    # leaves room for the largest group's ElementBatch. The geometry is
+    # the mesh's own cache and is built before the trace.
+    mesh = generate(MeshFamilySpec(family, 64))
+    triplets = sum(loops.size * loops.shape[1]
+                   for _, loops, _ in mesh.cell_groups())
+    problem = sinsin_problem()
+    assert traced_peak(lambda: solve(mesh, problem)) <= 100 * triplets
