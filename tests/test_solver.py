@@ -212,6 +212,19 @@ def test_sinsin_cg_iterations_are_pinned(family, n, seed, iterations):
     assert solve(mesh, sinsin_problem()).cg_iterations == iterations
 
 
+# the same guard on the quadratic problem, one mesh of each family
+@pytest.mark.parametrize("family, iterations", [
+    ("quad", 87),
+    ("perturbed_quad", 113),
+    ("triangle", 123),
+    ("hexagon", 117),
+    ("hanging_node", 141),
+])
+def test_quadratic_cg_iterations_are_pinned(family, iterations):
+    mesh = generate(MeshFamilySpec(family, 32, seed=0))
+    assert solve(mesh, PROBLEMS["quadratic"]()).cg_iterations == iterations
+
+
 def test_patch_study_rates_flagged():
     table = convergence_study(
         MeshFamilySpec("quad", 2), 2, patch_problem())
