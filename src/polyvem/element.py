@@ -65,6 +65,22 @@ def _matrix_B(lengths, normals, diameter):
     return B
 
 
+def _adjugate(G):
+    """(adj, det) of a (C, 3, 3) stack: the adjugate from the nine
+    cofactors, and the determinant as the first row times its cofactors."""
+    g = [[G[:, i, j] for j in range(3)] for i in range(3)]
+    adj = np.empty_like(G)
+    for i in range(3):
+        for j in range(3):
+            # cofactor (j, i) from the rows and columns cyclically after
+            r1, r2 = g[(j + 1) % 3], g[(j + 2) % 3]
+            c1, c2 = (i + 1) % 3, (i + 2) % 3
+            adj[:, i, j] = r1[c1] * r2[c2] - r1[c2] * r2[c1]
+    det = g[0][0] * adj[:, 0, 0] + g[0][1] * adj[:, 1, 0] \
+        + g[0][2] * adj[:, 2, 0]
+    return adj, det
+
+
 def matrix_D(geom, vertices):
     """Vertex values of the scaled monomial basis, one row per vertex."""
     return _monomials(vertices, geom.centroid, np.asarray(geom.diameter))
@@ -87,12 +103,14 @@ class ElementBatch:
                 f"{', '.join(NU_POLICIES)}")
         with np.errstate(all="ignore"):
             G = B @ D
-            det = np.linalg.det(G)
+            inv, det = _adjugate(G)
             norm = np.linalg.norm(G, axis=(-2, -1))
             singular = ~(np.abs(det) >= 1e-12 * norm ** 3)
-            # singular cells solve against the identity; they are flagged
-            Pi_star = np.linalg.solve(
-                np.where(singular[:, None, None], np.eye(3), G), B)
+            inv /= det[:, None, None]
+            # singular cells project with the identity; they are flagged
+            inv[singular] = np.eye(3)
+            Pi_star = inv @ B
+            del inv
             G_tilde = G.copy()
             G_tilde[:, 0, :] = 0.0
             Pi = D @ Pi_star

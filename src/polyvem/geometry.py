@@ -177,9 +177,12 @@ class CellBatch:
         for lo in range(0, C, step):
             cells = slice(lo, lo + step)
             v = self.vertices[cells]
-            c = np.broadcast_to(self.centroid[cells, None, :], v.shape)
-            corners = np.stack([c, v, _next_vertex(v)], axis=-1)  # (c,N,2,3)
-            pts = (np.moveaxis(corners, 2, 0) @ bary.T).reshape(2, len(v), -1)
+            # the fan triangles' corners by coordinate, one GEMM for all
+            corners = np.empty((2, len(v), N, 3))
+            corners[..., 0] = self.centroid[cells].T[..., None]
+            corners[..., 1] = np.moveaxis(v, -1, 0)
+            corners[..., 2] = np.moveaxis(_next_vertex(v), -1, 0)
+            pts = (corners.reshape(-1, 3) @ bary.T).reshape(2, len(v), -1)
             wts = (self.fan_areas[cells, :, None] * w).reshape(len(v), -1)
             yield cells, pts[0], pts[1], wts
 

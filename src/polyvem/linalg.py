@@ -23,16 +23,22 @@ _DROP_TOL = 1e-300
 
 
 def _stable_order(keys, bound):
-    """np.argsort(keys, kind="stable") for keys in [0, bound). Where it
-    fits in int64, this sorts the unique keys keys*T + position instead:
-    a unique key has one sorted order, and numpy's default sort finds it
-    several times faster than the stable one."""
-    t = len(keys)
-    if bound * t < 2 ** 63:
-        unique = keys * t
-        unique += np.arange(t)
-        return np.argsort(unique)
-    return np.argsort(keys, kind="stable")
+    """(keys[order], order) with order = np.argsort(keys, kind="stable"),
+    for keys in [0, bound). Where it fits in 63 bits, this sorts the
+    unique words key << t | position in place instead, t the bit length
+    of the last position: a unique word has one sorted order, numpy's
+    default sort finds it several times faster than the stable argsort,
+    and the sorted words hold both the sorted keys and the order."""
+    t = max(len(keys) - 1, 0).bit_length()
+    if max(bound - 1, 0).bit_length() + t <= 63:
+        words = keys << t
+        words |= np.arange(len(keys))
+        words.sort()
+        order = words & ((1 << t) - 1)
+        words >>= t
+        return words, order
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order
 
 
 def _searchsorted(keys, needles):
@@ -49,7 +55,7 @@ class SparseSymMatrix:
     """Symmetric sparse matrix in CSR form, full (not triangular) storage.
 
     The CSR arrays are fixed once set; the matvec reads a row-padded copy
-    built alongside them."""
+    built alongside them, and sums each row in storage order."""
 
     def __init__(self, n, indptr, indices, data):
         self.n = int(n)
@@ -58,13 +64,14 @@ class SparseSymMatrix:
         self.data = data
         lengths = np.diff(indptr)
         self._row_of = np.repeat(np.arange(self.n), lengths)
-        # row-padded (ELL) copy for the matvec: the first `width` entries
-        # of row i sit in row i of two (n, width) arrays, padded with
-        # column i and value 0. Padding reads the row's own x[i], so where
-        # the diagonal is stored a non-finite x[j] makes the same rows
-        # non-finite as the CSR product does. Capping width at twice the
-        # mean row length keeps one long row from padding every other;
-        # the entries past the cap go to an overflow list.
+        # row-padded (ELL) copy for the matvec, stored by column: the
+        # first `width` entries of row i sit in column i of two
+        # (width, n) arrays, padded with column index i and value 0.
+        # Padding reads the row's own x[i], so where the diagonal is
+        # stored a non-finite x[j] makes the same rows non-finite as the
+        # CSR product does. Capping width at twice the mean row length
+        # keeps one long row from padding every other; the entries past
+        # the cap go to an overflow list.
         longest = int(lengths.max(initial=0))
         width = min(longest, 2 * self.nnz // max(self.n, 1))
         cols, vals, self._overflow = indices, data, None
@@ -73,10 +80,11 @@ class SparseSymMatrix:
             self._overflow = (self._row_of[over], cols[over], vals[over])
             cols, vals = cols[~over], vals[~over]
         filled = np.arange(width) < lengths[:, None]
-        self._ell_cols = np.repeat(np.arange(self.n)[:, None], width, 1)
-        self._ell_vals = np.zeros((self.n, width))
-        self._ell_cols[filled] = cols
-        self._ell_vals[filled] = vals
+        self._ell_cols = np.repeat(np.arange(self.n)[None, :], width, 0)
+        self._ell_vals = np.zeros((width, self.n))
+        # filled through the (n, width) views, so row by row as in CSR
+        self._ell_cols.T[filled] = cols
+        self._ell_vals.T[filled] = vals
 
     @classmethod
     def from_triplets(cls, n, rows, cols, values):
@@ -95,11 +103,13 @@ class SparseSymMatrix:
                           or cols.min() < 0 or cols.max() >= n):
             raise IndexOutOfRange(f"triplet index outside [0, {n})")
 
-        # each temporary is deleted at its last use, which bounds the peak
-        keys = rows * n
-        keys += cols
-        order = _stable_order(keys, int(n) ** 2)
-        keys = keys[order]
+        # position (r, c) has the key r << s | c; each temporary is
+        # deleted at its last use, which bounds the peak
+        s = max(int(n) - 1, 0).bit_length()
+        bound = 1 << 2 * s
+        keys = rows << s
+        keys |= cols
+        keys, order = _stable_order(keys, bound)
         starts = np.empty(len(keys), dtype=bool)
         starts[:1] = True
         np.not_equal(keys[1:], keys[:-1], out=starts[1:])
@@ -107,19 +117,22 @@ class SparseSymMatrix:
         keys = keys[starts]
         v = np.add.reduceat(values[order], starts) if len(keys) else values
         del order, starts
-        r, c = np.divmod(keys, n)
+        r = keys >> s
+        c = keys & ((1 << s) - 1)
 
         # symmetry: R = A - A^T must vanish to round-off; an entry whose
         # mirror is absent stands for R[r, c] = v and R[c, r] = -v
-        mirror = c * n + r
-        # on a symmetric pattern the mirrors are a permutation of the
-        # sorted keys, and inverting their sort order finds each one
-        perm = np.argsort(mirror)
-        at = np.empty_like(perm)
-        at[perm] = np.arange(len(perm))
-        del perm
-        if not np.array_equal(keys[at], mirror):
+        mirror = c << s
+        mirror |= r
+        # on a symmetric pattern the sorted mirrors are the sorted keys,
+        # and inverting the mirrors' sort order finds each one
+        sorted_mirror, perm = _stable_order(mirror, bound)
+        if np.array_equal(sorted_mirror, keys):
+            at = np.empty_like(perm)
+            at[perm] = np.arange(len(perm))
+        else:
             at = np.minimum(_searchsorted(keys, mirror), len(keys) - 1)
+        del sorted_mirror, perm
         resid = np.where(keys[at] == mirror, v - v[at], v)
         del at
         vmax = float(np.abs(v).max()) if len(v) else 0.0
@@ -145,7 +158,11 @@ class SparseSymMatrix:
 
     def matvec(self, x):
         x = np.asarray(x, dtype=float)
-        y = np.einsum("ij,ij->i", self._ell_vals, np.take(x, self._ell_cols))
+        # y = 0, then y += vals[j] * x[cols[j]] for j = 0, 1, ...: each
+        # row sums its entries in storage order. take never wraps, as
+        # every stored column index lies in [0, n)
+        y = np.einsum("ji,ji->i", self._ell_vals,
+                      np.take(x, self._ell_cols, mode="wrap"))
         if self._overflow is not None:
             rows, cols, vals = self._overflow
             y += np.bincount(rows, weights=vals * x[cols], minlength=self.n)

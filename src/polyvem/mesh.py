@@ -141,14 +141,16 @@ class PolygonalMesh:
         head = tail[head_at]
         keep = tail != head
         tail, head = tail[keep], head[keep]
-        # edge key lo * V + hi, sorted stably: cell order within an edge
-        nv = len(self.vertices)
-        key = np.minimum(tail, head) * nv + np.maximum(tail, head)
-        order = _stable_order(key, nv * nv)
-        key, tail = key[order], tail[order]
+        # edge key lo << s | hi, sorted stably: cell order within an edge
+        s = max(len(self.vertices) - 1, 0).bit_length()
+        key = np.minimum(tail, head) << s
+        key |= np.maximum(tail, head)
+        key, order = _stable_order(key, 1 << 2 * s)
+        tail = tail[order]
         first = np.flatnonzero(np.diff(key, prepend=-1))
         counts = np.diff(np.r_[first, len(key)])
-        self.edges = np.column_stack(np.divmod(key[first], nv))
+        key = key[first]
+        self.edges = np.column_stack((key >> s, key & ((1 << s) - 1)))
         # per edge: first traversal, number of traversals, and the tail of
         # every traversal in edge order, for validate()
         self._edge_first, self._edge_counts = first, counts
@@ -541,15 +543,23 @@ def read_json(path):
     cells = doc["cells"]
     _expect(isinstance(verts, list), '"vertices" must be an array')
     _expect(isinstance(cells, list), '"cells" must be an array')
-    # json.loads gives exact list/int/float/bool types; bool is no number
+    # json.loads gives exact list/int/float/bool types; bool is no number.
+    # Each list is checked whole first; the loop only names the first bad
+    # entry
     number = (int, float)
-    for k, p in enumerate(verts):
-        if not (type(p) is list and len(p) == 2
-                and type(p[0]) in number and type(p[1]) in number):
-            raise ParseError(f"vertices[{k}] must be a pair of numbers")
-    for k, loop in enumerate(cells):
-        if not (type(loop) is list and set(map(type, loop)) <= {int}):
-            raise ParseError(f"cells[{k}] must be an array of integer indices")
+    chain = itertools.chain.from_iterable
+    if not (set(map(type, verts)) <= {list} and set(map(len, verts)) <= {2}
+            and set(map(type, chain(verts))) <= set(number)):
+        for k, p in enumerate(verts):
+            if not (type(p) is list and len(p) == 2
+                    and type(p[0]) in number and type(p[1]) in number):
+                raise ParseError(f"vertices[{k}] must be a pair of numbers")
+    if not (set(map(type, cells)) <= {list}
+            and set(map(type, chain(cells))) <= {int}):
+        for k, loop in enumerate(cells):
+            if not (type(loop) is list and set(map(type, loop)) <= {int}):
+                raise ParseError(
+                    f"cells[{k}] must be an array of integer indices")
 
     try:
         xy = np.array(verts, dtype=float).reshape(-1, 2)

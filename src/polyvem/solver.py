@@ -263,11 +263,52 @@ def solve(mesh, problem, options=None, stiffness=None):
         cg_iterations=iters, cg_residual=resid, wall_time=wall)
 
 
+def _unit_scaled(*arrays):
+    """Scale the arrays in place by one power of two 2^-e that brings
+    their largest magnitude into [0.5, 1), and return e."""
+    top = max(float(np.abs(a).max(initial=0.0)) for a in arrays)
+    e = int(np.frexp(top)[1])
+    for a in arrays:
+        np.ldexp(a, -e, out=a)
+    return e
+
+
+class _ScaledSum:
+    """A running sum of non-negative terms kept as m * 2^e, m in [0.5, 1)
+    or 0, so that it neither underflows nor overflows. Power-of-two
+    scaling is exact, so it rounds as the plain float sum does wherever
+    that one stays in the normal range."""
+
+    def __init__(self):
+        self.m, self.e = 0.0, 0
+
+    def add(self, m, e):
+        """Add m * 2^e."""
+        m, k = math.frexp(m)
+        if m == 0.0:
+            return
+        e += k
+        top = max(self.e, e) if self.m else e
+        total = math.ldexp(self.m, self.e - top) + math.ldexp(m, e - top)
+        self.m, k = math.frexp(total)
+        self.e = top + k
+
+    def sqrt(self):
+        """The square root of the sum, inf where it overflows."""
+        m, e = (2.0 * self.m, self.e - 1) if self.e % 2 else (self.m, self.e)
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(math.sqrt(m), e // 2))
+
+
 def error_norms(sol, problem, quad_order=4):
-    """Broken L2 and H1-seminorm errors of the projected solution."""
+    """Broken L2 and H1-seminorm errors of the projected solution.
+
+    Each pass's weights and differences are scaled by powers of two
+    before they are squared, and the sums are kept scaled, so the
+    norms of meshes at any coordinate scale are exact powers of two of
+    each other."""
     mesh = sol.mesh
-    e_l2 = 0.0
-    e_h1 = 0.0
+    e_l2, e_h1 = _ScaledSum(), _ScaledSum()
     for ids, _, geo in mesh.cell_groups():
         c = sol.cell_coeffs[ids]
         c1h = (c[:, 1] / geo.diameter)[:, None]
@@ -277,12 +318,16 @@ def error_norms(sol, problem, quad_order=4):
                     + c1h[cells] * (x - geo.centroid[cells, 0, None])
                     + c2h[cells] * (y - geo.centroid[cells, 1, None]))
             diff = problem.u(x, y) - proj
-            e_l2 += float(np.einsum("cq,cq,cq->", w, diff, diff))
+            ew, ed = _unit_scaled(w), _unit_scaled(diff)
+            e_l2.add(float(np.einsum("cq,cq,cq->", w, diff, diff)),
+                     ew + 2 * ed)
             gx, gy = problem.grad_u(x, y)
             dx = gx - c1h[cells]
             dy = gy - c2h[cells]
-            e_h1 += float(np.einsum("cq,cq->", w, dx * dx + dy * dy))
-    err_l2, err_h1 = math.sqrt(e_l2), math.sqrt(e_h1)
+            eg = _unit_scaled(dx, dy)
+            e_h1.add(float(np.einsum("cq,cq->", w, dx * dx + dy * dy)),
+                     ew + 2 * eg)
+    err_l2, err_h1 = e_l2.sqrt(), e_h1.sqrt()
     for name, err in (("err_L2", err_l2), ("err_H1", err_h1)):
         if not math.isfinite(err):
             raise VemError(f"error norm {name} is not finite ({err})")

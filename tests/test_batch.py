@@ -243,3 +243,53 @@ def test_edge_lengths_equal_the_sum_over_the_coordinate_axis(family):
         d = np.roll(geo.vertices, -1, axis=1) - geo.vertices
         want = np.sqrt((d * d).sum(axis=-1))
         assert np.array_equal(geo.edge_lengths, want)
+
+
+def _lapack_projector(el):
+    """Pi_star and the singular flags of a batch from LAPACK det and
+    solve, the way the element formed them before the adjugate."""
+    with np.errstate(all="ignore"):
+        det = np.linalg.det(el.G)
+        norm = np.linalg.norm(el.G, axis=(-2, -1))
+        singular = ~(np.abs(det) >= 1e-12 * norm ** 3)
+        G = np.where(singular[:, None, None], np.eye(3), el.G)
+        return np.linalg.solve(G, el.B), singular
+
+
+def _batches_of_fine_cells():
+    for family in FAMILIES:
+        mesh = generate(MeshFamilySpec(family, 8, seed=3))
+        for _, _, geo in mesh.cell_groups():
+            yield geo
+    polys = _random_polygons(np.random.default_rng(23), 200)
+    for n in range(3, 9):
+        yield CellBatch(np.array([p for p in polys if len(p) == n]))
+
+
+def test_adjugate_projector_matches_the_lapack_solve():
+    for geo in _batches_of_fine_cells():
+        el = ElementBatch.of(geo)
+        want, singular = _lapack_projector(el)
+        assert not singular.any() and not el.singular.any()
+        err = np.abs(el.Pi_star - want).max(axis=(1, 2))
+        assert np.all(err <= 1e-13 * np.abs(want).max(axis=(1, 2)))
+
+
+def test_singular_flags_match_the_lapack_determinant():
+    mesh, _, _ = _two_bad_cells()
+    flat = PolygonalMesh(
+        [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+        [[0, 1, 2], [0, 2, 3, 4]])
+    batches = [geo for m in (mesh, flat) for _, _, geo in m.cell_groups()]
+    batches.append(CellBatch(np.zeros((1, 3, 2))))
+    elements = [ElementBatch.of(geo) for geo in batches]
+    # a square whose D repeats a monomial column: G is rank deficient
+    el = build_element(cell_geometry(STAPLE[[0, 1, 2, 7]]))
+    D = el.D.copy()
+    D[:, 2] = D[:, 1]
+    elements.append(ElementBatch(D[None], el.B[None]))
+    flagged = 0
+    for el in elements:
+        assert np.array_equal(el.singular, _lapack_projector(el)[1])
+        flagged += el.singular.sum()
+    assert flagged >= 3

@@ -2,10 +2,12 @@ import json
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from polyvem import solver
 from polyvem.cli import STABILITY_HEADER, main
 from polyvem.mesh import MeshFamilySpec, generate, read_json
 from polyvem.solver import CSV_HEADER
@@ -111,17 +113,39 @@ def test_run_rejects_self_winding_cell(tmp_path, capsys):
     assert "cell 0: winds more than once" in capsys.readouterr().err
 
 
-def test_run_rejects_non_finite_error_norm(tmp_path, capsys):
-    # quad n=8 scaled by 1e60 solves, but its squared L2 error overflows
+def test_run_rejects_non_finite_error_norm(tmp_path, capsys, monkeypatch):
+    # an exact solution that is infinite inside the square and sin sin on
+    # its boundary: the solve is finite, the L2 error is not. (Scaling a
+    # mesh no longer gets there: quad n=8 scaled by 1e60 has an L2 error
+    # near 5.7e178, whose square error_norms keeps scaled.)
+    sinsin = solver.sinsin_problem()
+    inside = replace(sinsin, u=lambda x, y: np.where(
+        (0 < x) & (x < 1) & (0 < y) & (y < 1), np.inf, sinsin.u(x, y)))
+    monkeypatch.setitem(solver.PROBLEMS, "sinsin", lambda: inside)
     mesh = generate(MeshFamilySpec("quad", 8))
-    mesh_file = tmp_path / "scaled.json"
+    mesh_file = tmp_path / "mesh.json"
     mesh_file.write_text(json.dumps(
-        {"vertices": (mesh.vertices * 1e60).tolist(),
+        {"vertices": mesh.vertices.tolist(),
          "cells": [c.tolist() for c in mesh.cells]}))
     assert main(["run", "--mesh", str(mesh_file)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: error norm err_L2 is not finite (inf)\n"
+
+
+def test_run_reports_the_norms_of_a_mesh_scaled_by_1e60(tmp_path, capsys):
+    # its squared L2 error, near 3e357, is past the float range
+    mesh = generate(MeshFamilySpec("quad", 8))
+    mesh_file = tmp_path / "scaled.json"
+    mesh_file.write_text(json.dumps(
+        {"vertices": (mesh.vertices * 1e60).tolist(),
+         "cells": [c.tolist() for c in mesh.cells]}))
+    assert main(["run", "--mesh", str(mesh_file), "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == ""
+    assert 1e178 < report["err_L2"] < 1e179
+    assert 1e119 < report["err_H1"] < 1e120
 
 
 def test_run_with_huge_coordinates_raises_no_numpy_warning(tmp_path,

@@ -147,7 +147,29 @@ def _random_symmetric(rng, n, entries, empty_rows=0):
                                          np.r_[v, v])
 
 
+def _storage_order_matvec(A, x):
+    """y = 0, then y = y + (entry j of each row) for j = 0, 1, ... up to
+    the ELL width, where a row without an entry j adds 0 * x[i]; then
+    the entries past the width, added to each row in CSR order."""
+    width = A._ell_vals.shape[0]
+    lengths = np.diff(A.indptr)
+    y = np.zeros(A.n)
+    for j in range(width):
+        k = np.minimum(A.indptr[:-1] + j, max(A.nnz - 1, 0))
+        has = lengths > j
+        y = y + np.where(has, A.data[k] * x[A.indices[k]], 0.0 * x)
+    if width < lengths.max(initial=0):
+        extra = np.zeros(A.n)
+        for i in range(A.n):
+            for k in range(A.indptr[i] + width, A.indptr[i + 1]):
+                extra[i] += A.data[k] * x[A.indices[k]]
+        y = y + extra
+    return y
+
+
 def _assert_matvec_matches_dense(A, x):
+    # each row sums in storage order, bit for bit
+    assert np.array_equal(A @ x, _storage_order_matvec(A, x))
     d = A.to_dense()
     y = A @ x
     assert y.dtype == np.float64 and y.shape == (A.n,)
@@ -169,6 +191,14 @@ def test_matvec_matches_dense_on_random_matrices(n, entries, empty_rows):
         _assert_matvec_matches_dense(A, x)
         keep = np.flatnonzero(rng.random(n) < 0.5)
         _assert_matvec_matches_dense(A.restrict(keep), x[keep])
+
+
+def test_matvec_sums_in_storage_order_past_one_einsum_buffer():
+    # einsum works through buffers of 8192 elements
+    rng = np.random.default_rng(12)
+    A = _random_symmetric(rng, 20000, 100000)
+    x = rng.standard_normal(20000)
+    assert np.array_equal(A @ x, _storage_order_matvec(A, x))
 
 
 def test_matvec_keeps_non_finite_entries_in_the_rows_that_store_them():
@@ -338,9 +368,11 @@ def test_stable_order_is_the_stable_argsort(bound):
     for t in (0, 1, 2, 17, 1000, 50000):
         keys = rng.integers(0, 1 + t // 20, t)
         b = int(keys.max(initial=0)) + 1 if bound is None else bound
-        order = _stable_order(keys, b)
-        assert order.dtype == np.intp
-        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+        sorted_keys, order = _stable_order(keys, b)
+        want = np.argsort(keys, kind="stable")
+        assert order.dtype == np.intp and sorted_keys.dtype == np.int64
+        assert np.array_equal(order, want)
+        assert np.array_equal(sorted_keys, keys[want])
 
 
 def test_restrict_submatrix():

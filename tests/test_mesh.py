@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -337,6 +338,51 @@ def test_json_parse_errors(tmp_path):
     p.write_text('{"vertices": [[0, 0], [1]], "cells": []}')
     with pytest.raises(ParseError, match=r"vertices\[1\]"):
         read_json(p)
+
+
+def _first_bad_entry(doc):
+    """The ParseError message of read_json's entry checks, one entry at
+    a time, or None."""
+    number = (int, float)
+    for k, p in enumerate(doc["vertices"]):
+        if not (type(p) is list and len(p) == 2
+                and type(p[0]) in number and type(p[1]) in number):
+            return f"vertices[{k}] must be a pair of numbers"
+    for k, loop in enumerate(doc["cells"]):
+        if not (type(loop) is list and set(map(type, loop)) <= {int}):
+            return f"cells[{k}] must be an array of integer indices"
+    return None
+
+
+_BAD_ENTRIES = [{}, 0, 1.5, "ab", None, True, [], [0], [0, 1, 2], [True, 0],
+                [0, None], ["0", 1], [[0], 1], [0, [1]], [0, {}], [0.5, False]]
+
+
+def test_json_entry_errors_name_the_first_bad_entry(tmp_path):
+    good = json.loads(to_json_text(generate(MeshFamilySpec("quad", 2))))
+    docs = []
+    for bad in _BAD_ENTRIES:
+        for at in (0, 4, 8):
+            verts = [list(v) for v in good["vertices"]]
+            verts[at] = bad
+            docs.append({"vertices": verts, "cells": good["cells"]})
+            for k in (0, 3):
+                cells = [list(c) for c in good["cells"]]
+                cells[k] = [bad] if at == 0 else bad
+                docs.append({"vertices": good["vertices"], "cells": cells})
+                docs.append({"vertices": verts, "cells": cells})
+    p = tmp_path / "bad.json"
+    checked = 0
+    for doc in docs:
+        want = _first_bad_entry(doc)
+        p.write_text(json.dumps(doc))
+        if want is None:
+            continue
+        with pytest.raises(ParseError) as got:
+            read_json(p)
+        assert str(got.value) == want
+        checked += 1
+    assert checked > len(docs) // 2
 
 
 def test_json_rejects_text_that_is_not_utf8(tmp_path):

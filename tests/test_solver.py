@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -313,3 +315,23 @@ def test_solve_peak_memory_per_stiffness_triplet(family):
                    for _, loops, _ in mesh.cell_groups())
     problem = sinsin_problem()
     assert traced_peak(lambda: solve(mesh, problem)) <= 100 * triplets
+
+
+@pytest.mark.parametrize("k", [-200, 40, 120, 200, 354])
+def test_error_norms_are_exact_under_power_of_two_scaling(k):
+    # hexagon n=8 with its vertices scaled by 2^-k, on the quadratic
+    # problem: every stage scales by a power of two, so err_L2 scales by
+    # 2^-3k and err_H1 by 2^-2k exactly. At k=200 the squared L2 terms
+    # lie below the float range, at k=-200 above it; 354 is the largest
+    # k that validate accepts
+    problem = PROBLEMS["quadratic"]()
+    base = generate(MeshFamilySpec("hexagon", 8))
+    want = error_norms(solve(base, problem), problem)
+    mesh = PolygonalMesh(np.ldexp(base.vertices, -k), base.cells)
+    assert validate(mesh).ok
+    got = error_norms(solve(mesh, problem), problem)
+    assert got.err_L2 == math.ldexp(want.err_L2, -3 * k)
+    assert got.err_H1 == math.ldexp(want.err_H1, -2 * k)
+    if k == 354:
+        tinier = PolygonalMesh(np.ldexp(base.vertices, -k - 1), base.cells)
+        assert not validate(tinier).ok
