@@ -72,7 +72,9 @@ def _adjugate(G):
     adj = np.empty_like(G)
     for i in range(3):
         for j in range(3):
-            # cofactor (j, i) from the rows and columns cyclically after
+            # adj[i, j] is the cofactor of G[j, i]; with indices taken
+            # cyclically, the minor of rows j+1, j+2 and columns i+1, i+2
+            # carries the cofactor's sign
             r1, r2 = g[(j + 1) % 3], g[(j + 2) % 3]
             c1, c2 = (i + 1) % 3, (i + 2) % 3
             adj[:, i, j] = r1[c1] * r2[c2] - r1[c2] * r2[c1]

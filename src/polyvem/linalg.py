@@ -1,8 +1,9 @@
 """Dependency-light linear algebra for symmetric systems.
 
 Everything here is deterministic: no pivoting heuristics, no randomized
-starts, and summation orders fixed by the data layout, so repeated runs
-produce bit-identical results.
+starts, and summation orders fixed by the data layout (the matvec sums
+each row's entries in storage order), so repeated runs produce
+bit-identical results.
 """
 
 import math
@@ -55,7 +56,7 @@ class SparseSymMatrix:
     """Symmetric sparse matrix in CSR form, full (not triangular) storage.
 
     The CSR arrays are fixed once set; the matvec reads a row-padded copy
-    built alongside them, and sums each row in storage order."""
+    built alongside them."""
 
     def __init__(self, n, indptr, indices, data):
         self.n = int(n)
@@ -117,22 +118,26 @@ class SparseSymMatrix:
         keys = keys[starts]
         v = np.add.reduceat(values[order], starts) if len(keys) else values
         del order, starts
-        r = keys >> s
-        c = keys & ((1 << s) - 1)
 
         # symmetry: R = A - A^T must vanish to round-off; an entry whose
-        # mirror is absent stands for R[r, c] = v and R[c, r] = -v
-        mirror = c << s
-        mirror |= r
+        # mirror is absent stands for R[r, c] = v and R[c, r] = -v. The
+        # mirror of key r << s | c is c << s | r, and key < mirror iff
+        # r < c
+        mask = (1 << s) - 1
+        mirror = keys & mask
+        mirror <<= s
+        mirror |= keys >> s
         # on a symmetric pattern the sorted mirrors are the sorted keys,
         # and inverting the mirrors' sort order finds each one
         sorted_mirror, perm = _stable_order(mirror, bound)
-        if np.array_equal(sorted_mirror, keys):
+        symmetric = np.array_equal(sorted_mirror, keys)
+        del sorted_mirror
+        if symmetric:
             at = np.empty_like(perm)
             at[perm] = np.arange(len(perm))
         else:
             at = np.minimum(_searchsorted(keys, mirror), len(keys) - 1)
-        del sorted_mirror, perm
+        del perm
         resid = np.where(keys[at] == mirror, v - v[at], v)
         del at
         vmax = float(np.abs(v).max()) if len(v) else 0.0
@@ -140,12 +145,14 @@ class SparseSymMatrix:
             # R is antisymmetric: its first worst entry in (row, col)
             # order lies above the diagonal
             hit = np.flatnonzero(np.abs(resid) == np.abs(resid).max())
-            k = hit[np.where(r < c, keys, mirror)[hit].argmin()]
-            worst = resid[k] if r[k] < c[k] else -resid[k]
+            k = hit[np.minimum(keys, mirror)[hit].argmin()]
+            worst = resid[k] if keys[k] < mirror[k] else -resid[k]
             raise AsymmetricMatrix(
                 f"triplets are not symmetric (residual {worst:.3e} "
                 f"against max entry {vmax:.3e})")
-        del resid, mirror, keys
+        del resid, mirror
+        c = keys & mask
+        r = np.right_shift(keys, s, out=keys)
 
         keep = np.abs(v) >= _DROP_TOL
         if not keep.all():

@@ -304,9 +304,8 @@ def error_norms(sol, problem, quad_order=4):
     """Broken L2 and H1-seminorm errors of the projected solution.
 
     Each pass's weights and differences are scaled by powers of two
-    before they are squared, and the sums are kept scaled, so the
-    norms of meshes at any coordinate scale are exact powers of two of
-    each other."""
+    before they are squared, and the sums are kept scaled, so a norm
+    whose square lies outside the float range is still found."""
     mesh = sol.mesh
     e_l2, e_h1 = _ScaledSum(), _ScaledSum()
     for ids, _, geo in mesh.cell_groups():

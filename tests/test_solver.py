@@ -335,3 +335,37 @@ def test_error_norms_are_exact_under_power_of_two_scaling(k):
     if k == 354:
         tinier = PolygonalMesh(np.ldexp(base.vertices, -k - 1), base.cells)
         assert not validate(tinier).ok
+
+
+def _unscaled_error_norms(sol, problem, quad_order=4):
+    """(err_L2, err_H1) summed in plain floats, pass by pass."""
+    e_l2 = e_h1 = 0.0
+    for ids, _, geo in sol.mesh.cell_groups():
+        c = sol.cell_coeffs[ids]
+        c1h = (c[:, 1] / geo.diameter)[:, None]
+        c2h = (c[:, 2] / geo.diameter)[:, None]
+        for cells, x, y, w in geo.quadrature(quad_order,
+                                             solver._POINTS_PER_PASS):
+            proj = (c[cells, 0, None]
+                    + c1h[cells] * (x - geo.centroid[cells, 0, None])
+                    + c2h[cells] * (y - geo.centroid[cells, 1, None]))
+            diff = problem.u(x, y) - proj
+            e_l2 += float(np.einsum("cq,cq,cq->", w, diff, diff))
+            gx, gy = problem.grad_u(x, y)
+            dx = gx - c1h[cells]
+            dy = gy - c2h[cells]
+            e_h1 += float(np.einsum("cq,cq->", w, dx * dx + dy * dy))
+    return math.sqrt(e_l2), math.sqrt(e_h1)
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_error_norms_round_as_the_unscaled_sums(family, name):
+    # on a unit-square mesh nothing under- or overflows, so the scaled
+    # sums must give the plain sums bit for bit
+    mesh = generate(MeshFamilySpec(family, 16, seed=5))
+    problem = PROBLEMS[name]()
+    sol = solve(mesh, problem)
+    report = error_norms(sol, problem)
+    want = _unscaled_error_norms(sol, problem)
+    assert (report.err_L2, report.err_H1) == want
