@@ -78,8 +78,8 @@ def _adjugate(G):
             r1, r2 = g[(j + 1) % 3], g[(j + 2) % 3]
             c1, c2 = (i + 1) % 3, (i + 2) % 3
             adj[:, i, j] = r1[c1] * r2[c2] - r1[c2] * r2[c1]
-    det = g[0][0] * adj[:, 0, 0] + g[0][1] * adj[:, 1, 0] \
-        + g[0][2] * adj[:, 2, 0]
+    det = (g[0][0] * adj[:, 0, 0] + g[0][1] * adj[:, 1, 0]
+           + g[0][2] * adj[:, 2, 0])
     return adj, det
 
 
