@@ -42,16 +42,14 @@ class IndexOutOfRange(VemError):
     """Cell or vertex index outside the valid range."""
 
 
-class EmptyInterior(VemError):
-    """Every vertex is a boundary vertex; there is nothing to solve for."""
-
-
 class ZeroDiagonal(VemError):
     """Matrix has a zero diagonal entry where the solver needs a positive one."""
 
 
 class NoConvergence(VemError):
-    """Iterative eigenvalue computation failed to reach tolerance."""
+    """A solve did not reach its answer: CG stalled in the global solve
+    or in a harmonic lifting, or the dense eigensolver got non-finite
+    input."""
 
 
 class AsymmetricMatrix(VemError):

@@ -42,16 +42,6 @@ def _stable_order(keys, bound):
     return keys[order], order
 
 
-def _searchsorted(keys, needles):
-    """np.searchsorted(keys, needles), with the needles looked up in
-    sorted order: the search then walks keys forward and runs several
-    times faster on long unordered needle lists."""
-    by = np.argsort(needles)
-    at = np.empty_like(by)
-    at[by] = np.searchsorted(keys, needles[by])
-    return at
-
-
 class SparseSymMatrix:
     """Symmetric sparse matrix in CSR form, full (not triangular) storage.
 
@@ -119,10 +109,8 @@ class SparseSymMatrix:
         v = np.add.reduceat(values[order], starts) if len(keys) else values
         del order, starts
 
-        # symmetry: R = A - A^T must vanish to round-off; an entry whose
-        # mirror is absent stands for R[r, c] = v and R[c, r] = -v. The
-        # mirror of key r << s | c is c << s | r, and key < mirror iff
-        # r < c
+        # symmetry: R = A - A^T must vanish to round-off. The mirror of
+        # key r << s | c is c << s | r, and key < mirror iff r < c
         mask = (1 << s) - 1
         mirror = keys & mask
         mirror <<= s
@@ -130,15 +118,20 @@ class SparseSymMatrix:
         # on a symmetric pattern the sorted mirrors are the sorted keys,
         # and inverting the mirrors' sort order finds each one
         sorted_mirror, perm = _stable_order(mirror, bound)
-        symmetric = np.array_equal(sorted_mirror, keys)
+        if not np.array_equal(sorted_mirror, keys):
+            # give every summed entry an explicit zero mirror and build
+            # again: v + 0 is v, an absent mirror reads 0, and the zeros
+            # fall under the drop rule
+            del rows, cols, values, sorted_mirror, perm
+            keys = np.r_[keys, mirror]
+            del mirror
+            return cls.from_triplets(n, keys >> s, keys & mask,
+                                     np.r_[v, np.zeros(len(v))])
         del sorted_mirror
-        if symmetric:
-            at = np.empty_like(perm)
-            at[perm] = np.arange(len(perm))
-        else:
-            at = np.minimum(_searchsorted(keys, mirror), len(keys) - 1)
+        at = np.empty_like(perm)
+        at[perm] = np.arange(len(perm))
         del perm
-        resid = np.where(keys[at] == mirror, v - v[at], v)
+        resid = v - v[at]
         del at
         vmax = float(np.abs(v).max()) if len(v) else 0.0
         if vmax > 0 and np.abs(resid).max() > 1e-14 * vmax:
@@ -293,42 +286,29 @@ def dense_sym_eigen(M, compute_vectors=False):
     return np.linalg.eigvalsh(A)
 
 
-def _complement_basis(kernel):
-    """Orthonormal basis of the complement of span{kernel}, via Householder."""
-    u = kernel / np.linalg.norm(kernel)
-    n = len(u)
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    v = u - e1
-    vnorm2 = float(v @ v)
-    if vnorm2 < 1e-30:
-        H = np.eye(n)
-    else:
-        H = np.eye(n) - (2.0 / vnorm2) * np.outer(v, v)
-    return H[:, 1:]
+def generalized_eig_bounds(A, M):
+    """Extreme eigenvalues of A u = lambda M u away from the constants.
 
-
-def generalized_eig_bounds(A, M, kernel=None):
-    """Extreme eigenvalues of A u = lambda M u away from a shared kernel.
-
-    Both matrices must be symmetric positive semidefinite with the same
-    one-dimensional kernel (pass None for none). The pencil is reduced to
-    the orthogonal complement of the kernel, whitened by the reference
+    Both matrices must be symmetric positive semidefinite with the
+    constants as their only kernel. The pencil is reduced to the
+    orthogonal complement of the constants, whitened by the reference
     matrix M, and solved densely. Returns (smallest, largest).
     """
     A = np.asarray(A, dtype=float)
     M = np.asarray(M, dtype=float)
     n = A.shape[0]
-    if kernel is not None:
-        kernel = np.asarray(kernel, dtype=float)
-        mnorm = float(np.linalg.norm(M))
-        knorm = float(np.linalg.norm(kernel))
-        if mnorm > 0 and np.linalg.norm(M @ kernel) > 1e-8 * mnorm * knorm:
-            raise KernelMismatch(
-                "reference matrix does not vanish on the declared kernel")
-        Q = _complement_basis(kernel)
-        A = Q.T @ A @ Q
-        M = Q.T @ M @ Q
+    mnorm = float(np.linalg.norm(M))
+    root = math.sqrt(n)
+    if mnorm > 0 and np.linalg.norm(M @ np.ones(n)) > 1e-8 * mnorm * root:
+        raise KernelMismatch(
+            "reference matrix does not vanish on the declared kernel")
+    # the Householder reflection that swaps e_1 and ones / sqrt(n); its
+    # last n - 1 columns span the complement of the constants
+    v = np.full(n, 1.0 / root)
+    v[0] -= 1.0
+    Q = (np.eye(n) - (2.0 / float(v @ v)) * np.outer(v, v))[:, 1:]
+    A = Q.T @ A @ Q
+    M = Q.T @ M @ Q
     lam, U = dense_sym_eigen(M, compute_vectors=True)
     if lam[0] <= 1e-12 * max(lam[-1], 0.0):
         raise KernelMismatch(

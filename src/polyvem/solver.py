@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .element import ElementBatch
-from .errors import EmptyInterior, NoConvergence, ValidationError, VemError
+from .errors import NoConvergence, ValidationError, VemError
 # kept as a module attribute: perfbench's tracing tests look it up here
 from .geometry import cell_geometry  # noqa: F401
 from .linalg import SparseSymMatrix, cg_solve
@@ -213,13 +213,12 @@ class DirichletSystem:
 
 
 def apply_dirichlet(A, b, mesh, g):
-    """Symmetric elimination of boundary dofs fixed to g(vertex)."""
+    """Symmetric elimination of boundary dofs fixed to g(vertex); a mesh
+    with no interior vertex gives a 0 x 0 system."""
     bnd = mesh.boundary_vertex_flags
     interior = np.flatnonzero(~bnd)
     lift = np.zeros(mesh.n_vertices)
     lift[bnd] = g(mesh.vertices[bnd, 0], mesh.vertices[bnd, 1])
-    if len(interior) == 0:
-        raise EmptyInterior("mesh has no interior vertices")
     rhs = (b - A @ lift)[interior]
     return DirichletSystem(
         matrix=A.restrict(interior), rhs=rhs,
@@ -238,29 +237,22 @@ def solve(mesh, problem, options=None, stiffness=None):
     t0 = time.perf_counter()
     A, b, projectors = _assemble_parts(
         mesh, problem, opts.nu_policy, opts.quad_order, stiffness)
-    try:
-        system = apply_dirichlet(A, b, mesh, problem.g)
-        res = cg_solve(system.matrix, system.rhs, tol=opts.tol)
-        if not res.converged:
-            raise NoConvergence(
-                f"CG stalled at relative residual {res.residual:.3e} "
-                f"after {res.iterations} iterations")
-        dofs = system.lift.copy()
-        dofs[system.interior] = res.x
-        iters, resid = res.iterations, res.residual
-    except EmptyInterior:
-        # nothing to solve: the boundary data determines every dof
-        bnd = mesh.boundary_vertex_flags
-        dofs = np.zeros(mesh.n_vertices)
-        dofs[bnd] = problem.g(mesh.vertices[bnd, 0], mesh.vertices[bnd, 1])
-        iters, resid = 0, 0.0
+    system = apply_dirichlet(A, b, mesh, problem.g)
+    res = cg_solve(system.matrix, system.rhs, tol=opts.tol)
+    if not res.converged:
+        raise NoConvergence(
+            f"CG stalled at relative residual {res.residual:.3e} "
+            f"after {res.iterations} iterations")
+    dofs = system.lift.copy()
+    dofs[system.interior] = res.x
     coeffs = np.zeros((mesh.n_cells, 3))
     for ids, loops, Pi_star in projectors:
         coeffs[ids] = np.einsum("cij,cj->ci", Pi_star, dofs[loops])
     wall = time.perf_counter() - t0
     return DiscreteSolution(
         mesh=mesh, dof_values=dofs, cell_coeffs=coeffs,
-        cg_iterations=iters, cg_residual=resid, wall_time=wall)
+        cg_iterations=res.iterations, cg_residual=res.residual,
+        wall_time=wall)
 
 
 def _unit_scaled(*arrays):

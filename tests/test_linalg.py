@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from polyvem import linalg
 from polyvem.errors import (
     AsymmetricMatrix,
     IndexOutOfRange,
@@ -11,7 +10,6 @@ from polyvem.errors import (
 )
 from polyvem.linalg import (
     SparseSymMatrix,
-    _searchsorted,
     _stable_order,
     cg_solve,
     dense_sym_eigen,
@@ -277,21 +275,20 @@ def _reference_from_triplets(n, rows, cols, values):
 
 
 def test_mirror_lookup_matches_unsorted_searchsorted(monkeypatch):
-    # from_triplets finds mirrors by inverting their sort order and falls
-    # back to a search with sorted needles when the pattern is not
-    # symmetric; on triplet sets with missing mirrors, duplicates and
-    # entries small enough to be dropped, both must give what a stable
-    # sort and numpy's own search give: the same arrays or the same error
+    # from_triplets finds mirrors by inverting their sort order; a pattern
+    # that is not symmetric is built once more with a zero mirror for
+    # every summed entry. On triplet sets with missing mirrors, duplicates
+    # and entries small enough to be dropped, both must give what a
+    # stable sort and numpy's own search give: the same arrays or the
+    # same error
     calls = []
+    real = SparseSymMatrix.from_triplets.__func__
 
-    def spy(keys, needles):
-        at = _searchsorted(keys, needles)
-        assert at.dtype == np.intp
-        assert np.array_equal(at, np.searchsorted(keys, needles))
-        calls.append(len(needles))
-        return at
+    def spy(cls, n, rows, cols, values):
+        calls.append(n)
+        return real(cls, n, rows, cols, values)
 
-    monkeypatch.setattr(linalg, "_searchsorted", spy)
+    monkeypatch.setattr(SparseSymMatrix, "from_triplets", classmethod(spy))
     rng = np.random.default_rng(8)
     sets, most = 20000, 11
     sizes = rng.integers(1, 9, sets)
@@ -299,28 +296,51 @@ def test_mirror_lookup_matches_unsorted_searchsorted(monkeypatch):
     pool = zip(rng.random((sets, 2, most)),
                rng.choice([1.0, -0.5, 1e-310], (sets, most)),
                rng.random((sets, most)) < 0.8)
-    symmetric = 0
+    symmetric, builds = 0, {1: 0, 2: 0}
     for n, m, (u, v, mirrored) in zip(sizes, counts, pool):
         r, c = (u[:, :m] * n).astype(np.int64)
         v, mirrored = v[:m], mirrored[:m]
         # mirror most entries, so that some sets pass the symmetry check
         r, c = np.r_[r, c[mirrored]], np.r_[c, r[mirrored]]
         v = np.r_[v, v[mirrored]]
+        pattern = set(zip(r.tolist(), c.tolist()))
+        expected_calls = 1 if pattern == {(j, i) for i, j in pattern} else 2
+        builds[expected_calls] += 1
+        calls.clear()
         try:
             want = _reference_from_triplets(n, r, c, v)
         except AsymmetricMatrix as exc:
             with pytest.raises(AsymmetricMatrix) as got:
                 SparseSymMatrix.from_triplets(n, r, c, v)
             assert str(got.value) == str(exc)
+            assert len(calls) == expected_calls
             continue
         A = SparseSymMatrix.from_triplets(n, r, c, v)
+        assert len(calls) == expected_calls
         for got, ref in zip((A.indptr, A.indices, A.data), want):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
         symmetric += 1
     assert 0 < symmetric < sets
-    # both lookups ran: the inverse permutation on the symmetric patterns,
-    # the search on the others
-    assert 0 < len(calls) < sets
+    assert builds[1] > 0 and builds[2] > 0
+
+
+def test_an_asymmetric_pattern_keeps_the_sums_of_its_duplicates():
+    # (0, 1) and (1, 0) each come twelve times; (2, 0) is too small to
+    # break the symmetry check but has no mirror. The rebuild adds one
+    # zero per summed entry, so each sum stays numpy's sum of the given
+    # values; a zero per triplet would regroup numpy's pairwise sum
+    rng = np.random.default_rng(0)
+    vals = rng.standard_normal(12) * 10.0 ** rng.integers(-8, 8, 12)
+    one = np.add.reduceat(vals, [0])[0]
+    assert np.add.reduceat(np.r_[vals, np.zeros(12)], [0])[0] != one
+    rows = np.r_[np.zeros(12, np.int64), np.ones(12, np.int64), 2, 0, 1, 2]
+    cols = np.r_[np.ones(12, np.int64), np.zeros(12, np.int64), 0, 0, 1, 2]
+    values = np.r_[vals, vals, 1e-310, 1.0, 1.0, 1.0]
+    A = SparseSymMatrix.from_triplets(3, rows, cols, values)
+    want = _reference_from_triplets(3, rows, cols, values)
+    for got, ref in zip((A.indptr, A.indices, A.data), want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert A.to_dense()[0, 1] == A.to_dense()[1, 0] == one
 
 
 def _assembly(family):
@@ -550,7 +570,7 @@ def _path_laplacian():
 
 def test_generalized_bounds_identical_pencil():
     L = _path_laplacian()
-    lo, hi = generalized_eig_bounds(2.0 * L, L, kernel=np.ones(3))
+    lo, hi = generalized_eig_bounds(2.0 * L, L)
     assert lo == pytest.approx(2.0, abs=1e-11)
     assert hi == pytest.approx(2.0, abs=1e-11)
 
@@ -559,7 +579,7 @@ def test_generalized_bounds_squared_pencil():
     # (L^2) u = lambda L u has eigenvalues equal to the nonzero spectrum
     # of L, which for the 3-path is {1, 3}
     L = _path_laplacian()
-    lo, hi = generalized_eig_bounds(L @ L, L, kernel=np.ones(3))
+    lo, hi = generalized_eig_bounds(L @ L, L)
     assert lo == pytest.approx(1.0, abs=1e-10)
     assert hi == pytest.approx(3.0, abs=1e-10)
 
@@ -567,4 +587,4 @@ def test_generalized_bounds_squared_pencil():
 def test_generalized_bounds_kernel_mismatch():
     L = _path_laplacian()
     with pytest.raises(KernelMismatch):
-        generalized_eig_bounds(L, np.eye(3), kernel=np.ones(3))
+        generalized_eig_bounds(L, np.eye(3))

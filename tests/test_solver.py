@@ -5,7 +5,6 @@ import pytest
 
 from polyvem import solver
 from polyvem.element import ElementBatch, build_element
-from polyvem.errors import EmptyInterior
 from polyvem.geometry import cell_geometry
 from polyvem.linalg import dense_sym_eigen
 from polyvem.mesh import (
@@ -95,15 +94,22 @@ def test_apply_dirichlet_quad2():
 
 
 def test_empty_interior():
-    mesh = generate(MeshFamilySpec("quad", 1))
-    A, b = assemble(mesh, patch_problem())
-    with pytest.raises(EmptyInterior):
-        apply_dirichlet(A, b, mesh, lambda x, y: np.zeros_like(x))
-    # solve still works: boundary data determines everything
-    sol = solve(mesh, patch_problem())
-    expected = 2.0 + 3.0 * mesh.vertices[:, 0] - mesh.vertices[:, 1]
-    assert np.allclose(sol.dof_values, expected, atol=1e-13)
-    assert sol.cg_iterations == 0
+    # every vertex is on the boundary: the system is 0 x 0, and the lift
+    # holds g on every vertex, so it is the whole solution
+    p = patch_problem()
+    for family in ("quad", "triangle"):
+        mesh = generate(MeshFamilySpec(family, 1))
+        A, b = assemble(mesh, p)
+        system = apply_dirichlet(A, b, mesh, p.g)
+        assert system.matrix.n == 0
+        assert system.rhs.shape == (0,) and system.interior.shape == (0,)
+        x, y = mesh.vertices.T
+        assert np.array_equal(system.lift, p.g(x, y))
+        sol = solve(mesh, p)
+        expected = 2.0 + 3.0 * x - y
+        assert np.allclose(sol.dof_values, expected, atol=1e-13)
+        assert sol.cg_iterations == 0
+        assert sol.cg_residual == 0.0
 
 
 def test_constant_solution():
