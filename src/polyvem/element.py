@@ -59,7 +59,7 @@ def _matrix_B(lengths, normals, diameter):
     weighted = lengths[..., None] * normals  # edge j from V_j to V_{j+1}
     prev = np.roll(weighted, 1, axis=-2)
     B = np.empty(lengths.shape[:-1] + (3, N))
-    B[..., 0, :] = 1.0 / N
+    B[..., 0, :] = 1.0 / max(N, 1)  # an empty row when N = 0
     B[..., 1:, :] = (np.swapaxes(prev + weighted, -1, -2)
                      / (2.0 * diameter)[..., None, None])
     return B
@@ -81,11 +81,6 @@ def _adjugate(G):
     det = (g[0][0] * adj[:, 0, 0] + g[0][1] * adj[:, 1, 0]
            + g[0][2] * adj[:, 2, 0])
     return adj, det
-
-
-def matrix_D(geom, vertices):
-    """Vertex values of the scaled monomial basis, one row per vertex."""
-    return _monomials(vertices, geom.centroid, np.asarray(geom.diameter))
 
 
 class ElementBatch:

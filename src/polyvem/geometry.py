@@ -48,6 +48,10 @@ _TRI_RULES = {
     4: (_TRI_POINTS_DEG4, _TRI_WEIGHTS_DEG4),
 }
 
+# Quadrature points per slice of CellBatch.quadrature, so the load and
+# error sums keep their temporaries small whatever the mesh size.
+_POINTS_PER_PASS = 1 << 14
+
 
 def _as_polygon(vertices):
     v = np.asarray(vertices, dtype=float)
@@ -80,11 +84,13 @@ class CellBatch:
     fan_areas (C, N), the signed areas of the centroid-fan triangles
     (c, v_i, v_{i+1}). Edge i runs from vertex i to vertex i+1.
 
-    Construction never raises. A degenerate cell gets meaningless values
-    and a flag in short_edge, bad_area or bad_fan; edge_error, area_error
-    and fan_error turn a flag into the exception cell_geometry and
-    fan_quadrature raise. Each test is written `not value > tol`, so a NaN
-    fails it.
+    Construction never raises, whatever N is. A degenerate cell gets
+    meaningless values and a flag in short_edge, bad_area or bad_fan;
+    edge_error, area_error and fan_error turn a flag into the exception
+    cell_geometry and fan_quadrature raise. Each test is written
+    `not value > tol`, so a NaN fails it. A cell of fewer than 3
+    vertices always fails one: its area is 0, and with one vertex so is
+    its single edge.
     """
 
     def __init__(self, vertices):
@@ -158,9 +164,9 @@ class CellBatch:
             edge_normals=self.edge_normals[k],
         )
 
-    def quadrature(self, order=2, max_points=None):
-        """Fan quadrature of the cells, in slices of at most `max_points`
-        points (all cells at once by default).
+    def quadrature(self, order=2):
+        """Fan quadrature of the cells, in slices of at most
+        _POINTS_PER_PASS points, or of one cell where a cell has more.
 
         Yields (cells, x, y, w): the slice of cells covered, then the
         points and weights of those cells, each (c, Q). Each fan triangle
@@ -173,7 +179,7 @@ class CellBatch:
                 f"unsupported quadrature order {order}; use 2 or 4")
         bary, w = _TRI_RULES[order]
         C, N = self.vertices.shape[:2]
-        step = max(1, C if max_points is None else max_points // (N * len(w)))
+        step = max(1, _POINTS_PER_PASS // max(1, N * len(w)))
         for lo in range(0, C, step):
             cells = slice(lo, lo + step)
             v = self.vertices[cells]
@@ -206,10 +212,6 @@ class CellGeometry:
     diameter: float
     edge_lengths: np.ndarray
     edge_normals: np.ndarray
-
-    @property
-    def n_vertices(self):
-        return len(self.vertices)
 
 
 def cell_geometry(vertices):

@@ -177,11 +177,6 @@ class SparseSymMatrix:
         d[self._row_of[on_diag]] = self.data[on_diag]
         return d
 
-    def to_dense(self):
-        a = np.zeros((self.n, self.n))
-        a[self._row_of, self.indices] = self.data
-        return a
-
     def restrict(self, keep):
         """Principal submatrix on a strictly increasing index set: a slice
         of sorted, unique, symmetric rows, so nothing is sorted or checked

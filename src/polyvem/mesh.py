@@ -177,10 +177,6 @@ class PolygonalMesh:
                            zip(self._starts.tolist(), self._sizes.tolist())]
         return self._cells
 
-    @property
-    def n_edges(self):
-        return len(self.edges)
-
     def cell_vertices(self, ci):
         """Coordinates of cell ci as an (N, 2) array."""
         if not 0 <= ci < self.n_cells:
@@ -192,23 +188,21 @@ class PolygonalMesh:
 
         A list of (ids, loops, geometry): ids (C,) the cell indices in
         ascending order, loops (C, N) their vertex loops, and geometry
-        their CellBatch (None when N < 3). Computed once; the mesh is
-        immutable.
+        their CellBatch, which flags a cell of fewer than 3 vertices as
+        degenerate. Computed once; the mesh is immutable.
         """
         if self._groups is None:
             groups = []
             for n in np.unique(self._sizes):
                 ids = np.flatnonzero(self._sizes == n)
                 loops = self._flat[self._starts[ids, None] + np.arange(n)]
-                geo = CellBatch(self.vertices[loops]) if n >= 3 else None
-                groups.append((ids, loops, geo))
+                groups.append((ids, loops, CellBatch(self.vertices[loops])))
             self._groups = groups
         return self._groups
 
     def max_diameter(self):
         return max((float(geo.diameter.max())
-                    for _, _, geo in self.cell_groups() if geo is not None),
-                   default=0.0)
+                    for _, _, geo in self.cell_groups()), default=0.0)
 
     def __eq__(self, other):
         if not isinstance(other, PolygonalMesh):
@@ -217,11 +211,6 @@ class PolygonalMesh:
                 and np.array_equal(self.vertices, other.vertices)
                 and np.array_equal(self._sizes, other._sizes)
                 and np.array_equal(self._flat, other._flat))
-
-
-def boundary_vertices(mesh):
-    """Sorted indices of vertices touching at least one boundary edge."""
-    return np.nonzero(mesh.boundary_vertex_flags)[0]
 
 
 @dataclass
@@ -237,9 +226,6 @@ def _cell_violations(loops, geo):
     """(C,) per-cell message, "" where the cell is fine; the first failed
     check of each cell wins."""
     out = np.full(len(loops), "", dtype=object)
-    if loops.shape[1] < 3:
-        out[:] = "fewer than 3 distinct vertices"
-        return out
     s = np.sort(loops, axis=1)
     # fan angles about the centroid; once every fan triangle is positive
     # they sum to 2 pi times the number of turns the loop makes

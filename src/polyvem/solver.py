@@ -118,12 +118,6 @@ class ConvergenceTable:
     eoc_H1: list = field(default_factory=list)
 
 
-# Quadrature points per vectorized pass of the load and error sums, so
-# their temporaries stay small whatever the mesh size. The problem's
-# callables get the (c, Q) point arrays of one pass.
-_POINTS_PER_PASS = 1 << 14
-
-
 def _first_failure(geo, el):
     """A group's first failing cell and the error the one-cell path
     raises there, checked in its order: edges, area, projection, fan
@@ -139,7 +133,7 @@ def _first_failure(geo, el):
 def _integrals(geo, f, quad_order):
     """Integral of f over every cell of a group."""
     out = np.empty(len(geo))
-    for cells, x, y, w in geo.quadrature(quad_order, _POINTS_PER_PASS):
+    for cells, x, y, w in geo.quadrature(quad_order):
         out[cells] = (w * f(x, y)).sum(axis=1)
     return out
 
@@ -149,12 +143,13 @@ def _assemble_parts(mesh, problem, nu_policy, quad_order, stiffness=None):
     the projector of every cell, as (ids, loops, Pi_star) per group.
     The local stiffness of a group is stiffness(vertices (C, N, 2)), or
     the element's K when stiffness is None. The triplets of each group
-    go straight into three arrays sized once for the whole mesh."""
+    go straight into three arrays sized once for the whole mesh. A
+    degenerate cell, one of fewer than 3 vertices included, raises the
+    VemError of its first failed check, naming the lowest such cell."""
     if mesh.n_cells == 0:
         raise ValidationError("mesh has no cells")
     groups = mesh.cell_groups()
-    size = sum(loops.size * loops.shape[1] for _, loops, geo in groups
-               if geo is not None)
+    size = sum(loops.size * loops.shape[1] for _, loops, _ in groups)
     rows = np.empty(size, dtype=np.int64)
     cols = np.empty(size, dtype=np.int64)
     vals = np.empty(size)
@@ -162,10 +157,6 @@ def _assemble_parts(mesh, problem, nu_policy, quad_order, stiffness=None):
     projectors, failures = [], []
     end = 0
     for ids, loops, geo in groups:
-        if geo is None:
-            failures.append((ids[0], ValueError(
-                "polygon must be an (N, 2) array with N >= 3")))
-            continue
         el = ElementBatch.of(geo, nu_policy)
         failure = _first_failure(geo, el)
         if failure is not None:
@@ -187,8 +178,6 @@ def _assemble_parts(mesh, problem, nu_policy, quad_order, stiffness=None):
                   (_integrals(geo, problem.f, quad_order) / n)[:, None])
     if failures:
         ci, error = min(failures, key=lambda f: f[0])
-        if not isinstance(error, VemError):
-            raise error
         raise type(error)(f"cell {ci}: {error}") from error
     A = SparseSymMatrix.from_triplets(mesh.n_vertices, rows, cols, vals)
     return A, b, projectors
@@ -304,7 +293,7 @@ def error_norms(sol, problem, quad_order=4):
         c = sol.cell_coeffs[ids]
         c1h = (c[:, 1] / geo.diameter)[:, None]
         c2h = (c[:, 2] / geo.diameter)[:, None]
-        for cells, x, y, w in geo.quadrature(quad_order, _POINTS_PER_PASS):
+        for cells, x, y, w in geo.quadrature(quad_order):
             proj = (c[cells, 0, None]
                     + c1h[cells] * (x - geo.centroid[cells, 0, None])
                     + c2h[cells] * (y - geo.centroid[cells, 1, None]))

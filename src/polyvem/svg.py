@@ -39,6 +39,9 @@ def _build_table():
 
 COLOR_TABLE = _build_table()
 
+# canvas pixels left blank on every side of the mesh
+_MARGIN = 20.0
+
 
 def value_color(value, vmin, vmax):
     """Map a value to an rgb triple through the 256-entry table."""
@@ -101,7 +104,7 @@ class SvgScene:
         return out
 
 
-def mesh_scene(mesh, values=None, size=640.0, margin=20.0, colorbar=False):
+def mesh_scene(mesh, values=None, size=640.0, colorbar=False):
     """Lay a mesh out on a square canvas, optionally filled by values.
 
     values, when given, holds one number per cell; fills come from
@@ -111,12 +114,12 @@ def mesh_scene(mesh, values=None, size=640.0, margin=20.0, colorbar=False):
     xmin, ymin = verts.min(axis=0)
     xmax, ymax = verts.max(axis=0)
     extent = max(xmax - xmin, ymax - ymin, 1e-300)
-    scale = (size - 2.0 * margin) / extent
+    scale = (size - 2.0 * _MARGIN) / extent
 
     def to_canvas(points):
         out = np.empty_like(points)
-        out[:, 0] = margin + (points[:, 0] - xmin) * scale
-        out[:, 1] = size - margin - (points[:, 1] - ymin) * scale
+        out[:, 0] = _MARGIN + (points[:, 0] - xmin) * scale
+        out[:, 1] = size - _MARGIN - (points[:, 1] - ymin) * scale
         return out
 
     fills = [None] * mesh.n_cells

@@ -18,6 +18,13 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def dense(A):
+    """The n x n array of a SparseSymMatrix, from its CSR arrays."""
+    out = np.zeros((A.n, A.n))
+    out[np.repeat(np.arange(A.n), np.diff(A.indptr)), A.indices] = A.data
+    return out
+
+
 def captured_triplets(monkeypatch, build):
     """The (n, rows, cols, values) of every from_triplets call that
     build() makes, each array flattened."""

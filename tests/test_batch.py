@@ -15,7 +15,7 @@ from polyvem.mesh import (
     generate,
     validate,
 )
-from polyvem.solver import assemble, sinsin_problem
+from polyvem.solver import assemble, sinsin_problem, solve
 
 STAPLE = np.array([
     [0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [2.0, 3.0],
@@ -120,6 +120,22 @@ def test_degenerate_cells_raise_no_numpy_warnings():
     batch = CellBatch(np.array([[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]))
     assert batch.faulty().all()
     assert ElementBatch.of(batch).singular.all()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("loop", [[], [4], [4, 5]], ids=["0", "1", "2"])
+def test_cells_of_fewer_than_3_vertices_fail_as_degenerate(loop):
+    # a mesh built in the library skips read_json's validation; its short
+    # cell is flagged by the batch like any other degenerate cell
+    verts = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+             [0.5, 0.5], [0.2, 0.7]]
+    mesh = PolygonalMesh(verts, [[0, 1, 2, 3], loop])
+    violations = validate(mesh).violations
+    assert "cell 1: fewer than 3 distinct vertices" in violations
+    assert mesh.max_diameter() == np.sqrt(2.0)
+    for run in (assemble, solve):
+        with pytest.raises(VemError, match="^cell 1: "):
+            run(mesh, sinsin_problem())
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ def test_non_star_polygon_rejected():
 
 def test_cell_geometry_bundle():
     g = cell_geometry(PENTAGON)
-    assert g.n_vertices == 5
+    assert len(g.vertices) == 5
     assert g.area == pytest.approx(8.25, abs=1e-13)
     assert g.diameter == pytest.approx(np.sqrt(14.5), abs=1e-13)
     assert len(g.edge_lengths) == 5

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polyvem.element import build_element, matrix_D
+from polyvem.element import build_element
 from polyvem.errors import DegenerateTriangle, InvertedSubTriangle
 from polyvem.geometry import cell_geometry
 from polyvem.harmonic_fem import (
@@ -16,7 +16,6 @@ from polyvem.mesh import (
     FAMILIES,
     MeshFamilySpec,
     PolygonalMesh,
-    boundary_vertices,
     generate,
     validate,
 )
@@ -76,8 +75,7 @@ def test_subtriangulation_is_a_conforming_mesh(poly, levels):
     assert len(sub.triangles) == n * m * m
     mesh = PolygonalMesh(sub.points, sub.triangles)
     assert validate(mesh).ok
-    assert np.array_equal(boundary_vertices(mesh),
-                          np.flatnonzero(sub.boundary))
+    assert np.array_equal(mesh.boundary_vertex_flags, sub.boundary)
 
 
 def test_refined_triangles_cover_polygon():
@@ -257,7 +255,7 @@ def test_oracle_agrees_on_linear_data():
     # same boundary integrals, at any refinement level
     geom = cell_geometry(PENTAGON)
     el = build_element(geom)
-    D = matrix_D(geom, geom.vertices)
+    D = el.D
     for levels in (1, 2, 3):
         oracle = harmonic_stiffness(PENTAGON, levels)
         assert np.abs((el.K - oracle) @ D).max() <= 1e-8

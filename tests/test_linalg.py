@@ -19,7 +19,7 @@ from polyvem.harmonic_fem import _submesh_stiffness, subtriangulate
 from polyvem.mesh import FAMILIES, MeshFamilySpec, generate
 from polyvem.solver import PROBLEMS, apply_dirichlet, assemble
 
-from conftest import captured_triplets
+from conftest import captured_triplets, dense
 
 
 def test_from_triplets_dedup():
@@ -28,7 +28,7 @@ def test_from_triplets_dedup():
     vals = [2.0, 1.0, 1.0, 3.0, 0.5, 1.0]
     A = SparseSymMatrix.from_triplets(3, rows, cols, vals)
     expected = np.array([[2.5, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 1.0]])
-    assert np.array_equal(A.to_dense(), expected)
+    assert np.array_equal(dense(A), expected)
     assert A.nnz == 5
 
 
@@ -70,7 +70,7 @@ def test_from_triplets_with_no_triplets_is_empty():
     A = SparseSymMatrix.from_triplets(3, [], [], [])
     assert A.n == 3 and A.nnz == 0
     assert np.array_equal(A.indptr, np.zeros(4))
-    assert np.array_equal(A.to_dense(), np.zeros((3, 3)))
+    assert np.array_equal(dense(A), np.zeros((3, 3)))
     assert np.array_equal(A @ np.ones(3), np.zeros(3))
     assert (A @ np.ones(3)).dtype == np.float64
 
@@ -168,7 +168,7 @@ def _storage_order_matvec(A, x):
 def _assert_matvec_matches_dense(A, x):
     # each row sums in storage order, bit for bit
     assert np.array_equal(A @ x, _storage_order_matvec(A, x))
-    d = A.to_dense()
+    d = dense(A)
     y = A @ x
     assert y.dtype == np.float64 and y.shape == (A.n,)
     # each side sums at most n products, so it is within n eps of the
@@ -245,7 +245,7 @@ def test_matvec_of_an_arrow_matrix_pads_no_row_to_the_full_width():
     _assert_matvec_matches_dense(A, x)
     res = cg_solve(A, np.ones(n))
     assert res.converged
-    assert np.allclose(A.to_dense() @ res.x, 1.0, rtol=0, atol=1e-10)
+    assert np.allclose(dense(A) @ res.x, 1.0, rtol=0, atol=1e-10)
 
 
 def _reference_from_triplets(n, rows, cols, values):
@@ -340,7 +340,7 @@ def test_an_asymmetric_pattern_keeps_the_sums_of_its_duplicates():
     want = _reference_from_triplets(3, rows, cols, values)
     for got, ref in zip((A.indptr, A.indices, A.data), want):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
-    assert A.to_dense()[0, 1] == A.to_dense()[1, 0] == one
+    assert dense(A)[0, 1] == dense(A)[1, 0] == one
 
 
 def _assembly(family):
@@ -400,7 +400,7 @@ def test_restrict_submatrix():
     r, c = np.nonzero(d)
     A = SparseSymMatrix.from_triplets(3, r, c, d[r, c])
     S = A.restrict(np.array([0, 2]))
-    assert np.array_equal(S.to_dense(), np.array([[4.0, 0.0], [0.0, 6.0]]))
+    assert np.array_equal(dense(S), np.array([[4.0, 0.0], [0.0, 6.0]]))
 
 
 def test_cg_exact_2x2():

@@ -15,7 +15,6 @@ from polyvem.mesh import (
     MeshFamilySpec,
     PolygonalMesh,
     XorShift64Star,
-    boundary_vertices,
     generate,
     read_json,
     to_json_text,
@@ -49,18 +48,18 @@ def test_quad_counts():
     m = generate(MeshFamilySpec("quad", 2))
     assert m.n_vertices == 9
     assert m.n_cells == 4
-    assert m.n_edges == 12
-    assert len(boundary_vertices(m)) == 8
+    assert len(m.edges) == 12
+    assert m.boundary_vertex_flags.sum() == 8
 
 
 def test_quad_n1_boundary():
     m = generate(MeshFamilySpec("quad", 1))
-    assert sorted(boundary_vertices(m)) == [0, 1, 2, 3]
+    assert np.flatnonzero(m.boundary_vertex_flags).tolist() == [0, 1, 2, 3]
 
 
 def test_quad_center_is_interior():
     m = generate(MeshFamilySpec("quad", 2))
-    inner = [vi for vi in range(9) if vi not in boundary_vertices(m)]
+    inner = np.flatnonzero(~m.boundary_vertex_flags)
     assert len(inner) == 1
     assert m.vertices[inner[0]] == pytest.approx([0.5, 0.5])
 
@@ -82,7 +81,7 @@ def test_hanging_node_structure():
 
 def test_hanging_node_boundary_midpoints():
     m = generate(MeshFamilySpec("hanging_node", 2))
-    bnd = set(boundary_vertices(m))
+    bnd = set(np.flatnonzero(m.boundary_vertex_flags))
     coords = [tuple(m.vertices[vi]) for vi in bnd]
     assert (0.25, 0.0) in coords
     assert (0.0, 0.25) in coords
@@ -149,12 +148,11 @@ def test_perturbed_boundary_fixed_and_seeded():
     c = generate(MeshFamilySpec("perturbed_quad", 4, seed=8))
     assert a == b
     assert a != c
-    for vi in boundary_vertices(a):
+    for vi in np.flatnonzero(a.boundary_vertex_flags):
         x, y = a.vertices[vi]
         assert min(x, y, 1 - x, 1 - y) == pytest.approx(0.0, abs=0)
     # interior vertices actually moved
-    interior = [vi for vi in range(a.n_vertices)
-                if vi not in boundary_vertices(a)]
+    interior = np.flatnonzero(~a.boundary_vertex_flags)
     ref = generate(MeshFamilySpec("quad", 4))
     moved = np.abs(a.vertices[interior] - ref.vertices[interior]).max()
     assert 0 < moved <= 0.25 / 4

@@ -11,7 +11,6 @@ from polyvem.mesh import (
     FAMILIES,
     MeshFamilySpec,
     PolygonalMesh,
-    boundary_vertices,
     generate,
     validate,
 )
@@ -30,7 +29,7 @@ from polyvem.solver import (
     write_csv,
 )
 
-from conftest import captured_triplets, traced_peak
+from conftest import captured_triplets, dense, traced_peak
 
 
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
@@ -58,7 +57,7 @@ def test_assemble_single_cell_is_local_K():
     mesh = generate(MeshFamilySpec("quad", 1))
     A, b = assemble(mesh, patch_problem())
     el = build_element(cell_geometry(mesh.cell_vertices(0)))
-    assert np.allclose(A.to_dense(), el.K, atol=1e-14)
+    assert np.allclose(dense(A), el.K, atol=1e-14)
     assert np.allclose(b, 0.0, atol=0)  # patch source is exactly zero
 
 
@@ -67,21 +66,21 @@ def test_assemble_center_row_quad2():
     # center row can be summed by hand
     mesh = generate(MeshFamilySpec("quad", 2))
     A, _ = assemble(mesh, patch_problem())
-    dense = A.to_dense()
+    full = dense(A)
     expected_center = np.array(
         [-0.25, -0.5, -0.25, -0.5, 3.0, -0.5, -0.25, -0.5, -0.25])
-    assert np.allclose(dense[4], expected_center, atol=1e-13)
-    assert abs(dense[4].sum()) <= 1e-13
+    assert np.allclose(full[4], expected_center, atol=1e-13)
+    assert abs(full[4].sum()) <= 1e-13
 
 
 def test_assemble_kernel_is_constants():
     for spec in (MeshFamilySpec("quad", 4), MeshFamilySpec("hexagon", 4)):
         mesh = generate(spec)
         A, _ = assemble(mesh, patch_problem())
-        dense = A.to_dense()
-        nrm = np.linalg.norm(dense)
+        full = dense(A)
+        nrm = np.linalg.norm(full)
         assert np.abs(A @ np.ones(mesh.n_vertices)).max() <= 1e-12 * nrm
-        w = dense_sym_eigen(dense)
+        w = dense_sym_eigen(full)
         assert np.sum(np.abs(w) <= 1e-10 * nrm) == 1
 
 
@@ -172,7 +171,7 @@ def test_boundary_dofs_exact():
     p = sinsin_problem()
     mesh = generate(MeshFamilySpec("quad", 4))
     sol = solve(mesh, p)
-    bnd = boundary_vertices(mesh)
+    bnd = np.flatnonzero(mesh.boundary_vertex_flags)
     g = p.g(mesh.vertices[bnd, 0], mesh.vertices[bnd, 1])
     assert np.array_equal(sol.dof_values[bnd], g)
 
@@ -350,8 +349,7 @@ def _unscaled_error_norms(sol, problem, quad_order=4):
         c = sol.cell_coeffs[ids]
         c1h = (c[:, 1] / geo.diameter)[:, None]
         c2h = (c[:, 2] / geo.diameter)[:, None]
-        for cells, x, y, w in geo.quadrature(quad_order,
-                                             solver._POINTS_PER_PASS):
+        for cells, x, y, w in geo.quadrature(quad_order):
             proj = (c[cells, 0, None]
                     + c1h[cells] * (x - geo.centroid[cells, 0, None])
                     + c2h[cells] * (y - geo.centroid[cells, 1, None]))

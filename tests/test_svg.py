@@ -25,12 +25,12 @@ def test_value_color_endpoints():
 
 def test_wireframe_scene_geometry():
     mesh = generate(MeshFamilySpec("quad", 1))
-    scene = mesh_scene(mesh, size=640.0, margin=20.0)
+    scene = mesh_scene(mesh, size=640.0)
     assert scene.width == 640.0 and scene.height == 640.0
     assert len(scene.paths) == 1
     points, fill = scene.paths[0]
     assert fill is None
-    # unit square maps to the margins, y axis flipped
+    # unit square maps to 20 px margins, y axis flipped
     assert sorted(map(tuple, points)) == [
         (20.0, 20.0), (20.0, 620.0), (620.0, 20.0), (620.0, 620.0)]
 

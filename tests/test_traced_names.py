@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import polyvem
+from conftest import dense
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -55,7 +56,7 @@ def test_cg_span_counts_match_the_matrix():
     attrs = tracer.spans[0][5]
     assert attrs == {"iters": result.iterations, "n": A.n, "nnz": A.nnz}
     assert A.n == len(system.interior) and result.iterations > 0
-    assert A.nnz == np.count_nonzero(A.to_dense())
+    assert A.nnz == np.count_nonzero(dense(A))
 
 
 def test_workloads_relabel_keeps_the_mesh():
