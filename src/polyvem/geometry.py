@@ -178,19 +178,30 @@ class CellBatch:
             raise ValueError(
                 f"unsupported quadrature order {order}; use 2 or 4")
         bary, w = _TRI_RULES[order]
-        C, N = self.vertices.shape[:2]
-        step = max(1, _POINTS_PER_PASS // max(1, N * len(w)))
-        for lo in range(0, C, step):
-            cells = slice(lo, lo + step)
-            v = self.vertices[cells]
+        N = self.vertices.shape[1]
+        step = _POINTS_PER_PASS // max(1, N * len(w))
+        for cells, part in self._parts(step):
+            v = part.vertices
             # the fan triangles' corners by coordinate, one GEMM for all
             corners = np.empty((2, len(v), N, 3))
-            corners[..., 0] = self.centroid[cells].T[..., None]
+            corners[..., 0] = part.centroid.T[..., None]
             corners[..., 1] = np.moveaxis(v, -1, 0)
             corners[..., 2] = np.moveaxis(_next_vertex(v), -1, 0)
             pts = (corners.reshape(-1, 3) @ bary.T).reshape(2, len(v), -1)
-            wts = (self.fan_areas[cells, :, None] * w).reshape(len(v), -1)
+            wts = (part.fan_areas[:, :, None] * w).reshape(len(v), -1)
             yield cells, pts[0], pts[1], wts
+
+    def _parts(self, step):
+        """(cells, batch) for consecutive slices of at most step cells
+        (at least one): the slice, and the CellBatch of those cells, made
+        of views into this one's arrays."""
+        step = max(1, step)
+        for lo in range(0, len(self), step):
+            cells = slice(lo, lo + step)
+            part = object.__new__(CellBatch)
+            part.__dict__.update(
+                (name, value[cells]) for name, value in vars(self).items())
+            yield cells, part
 
 
 def _one_cell(vertices):

@@ -22,39 +22,117 @@ from .errors import (
 # entries smaller than this are treated as structural zeros
 _DROP_TOL = 1e-300
 
+# entries per block of the passes over a matrix build's sorted keys, so
+# their temporaries stay small whatever the matrix size
+_BLOCK = 1 << 12
 
-def _stable_order(keys, bound):
-    """(keys[order], order) with order = np.argsort(keys, kind="stable"),
-    for keys in [0, bound). Where it fits in 63 bits, this sorts the
-    unique words key << t | position in place instead, t the bit length
-    of the last position: a unique word has one sorted order, numpy's
-    default sort finds it several times faster than the stable argsort,
-    and the sorted words hold both the sorted keys and the order."""
+
+def _key_bits(n):
+    """The shift s of the key row << s | col of a position in an n x n
+    matrix."""
+    return max(int(n) - 1, 0).bit_length()
+
+
+def _blocks(size):
+    """Consecutive slices of at most _BLOCK entries of range(size)."""
+    return (slice(lo, min(lo + _BLOCK, size)) for lo in range(0, size, _BLOCK))
+
+
+def _stable_sort(keys, bound):
+    """Sort keys (int64, in [0, bound)) in place, stably, and return
+    (t, positions): afterwards keys >> t are the sorted keys, and
+    positions(part) gives where the sorted entries of the slice part
+    stood. Where key << t | place fits in 63 bits, t is the bit length
+    of the last place and the low t bits hold the place: a unique word
+    has one sorted order, which numpy's default sort finds several times
+    faster than the stable argsort. Otherwise t is 0 and the places come
+    from that argsort."""
     t = max(len(keys) - 1, 0).bit_length()
     if max(bound - 1, 0).bit_length() + t <= 63:
-        words = keys << t
-        words |= np.arange(len(keys))
-        words.sort()
-        order = words & ((1 << t) - 1)
-        words >>= t
-        return words, order
+        keys <<= t
+        for part in _blocks(len(keys)):
+            keys[part] |= np.arange(part.start, part.stop)
+        keys.sort()
+        return t, lambda part: keys[part] & ((1 << t) - 1)
     order = np.argsort(keys, kind="stable")
-    return keys[order], order
+    keys[:] = keys[order]
+    return 0, order.__getitem__
+
+
+def _stable_order(keys, bound):
+    """(keys, order), keys (int64, in [0, bound)) sorted in place and
+    order = np.argsort(keys, kind="stable") of the keys as given."""
+    t, positions = _stable_sort(keys, bound)
+    order = positions(slice(None))
+    keys >>= t
+    return keys, order
+
+
+def _mirrors(keys, s, out=None):
+    """The key c << s | r of the mirror of each key r << s | c."""
+    mirror = np.bitwise_and(keys, (1 << s) - 1, out=out)
+    mirror <<= s
+    mirror |= keys >> s
+    return mirror
+
+
+def _sum_runs(keys, values, bound):
+    """(keys, sums): the distinct keys in ascending order, written over
+    the front of keys, and the sum of each one's values in their given
+    order. keys (int64, in [0, bound)) is sorted in place."""
+    t, positions = _stable_sort(keys, bound)
+    # a run of equal keys starts where a key differs from the one before;
+    # len(keys) closes the last run
+    starts = np.empty(len(keys) + 1, dtype=bool)
+    starts[0] = starts[-1] = True
+    for part in _blocks(len(keys)):
+        lo, hi = max(part.start, 1), part.stop
+        np.greater(keys[lo:hi] ^ keys[lo - 1:hi - 1], (1 << t) - 1,
+                   out=starts[lo:hi])
+    bounds = np.flatnonzero(starts)
+    del starts
+    # a block of runs at a time, so no sorted copy of every value is
+    # made; a block's keys land before any run that a later block reads
+    sums = np.empty(len(bounds) - 1)
+    for part in _blocks(len(sums)):
+        run = bounds[part.start:part.stop + 1]
+        sums[part] = np.add.reduceat(
+            values[positions(slice(run[0], run[-1]))], run[:-1] - run[0])
+        keys[part] = keys[run[:-1]] >> t
+    return keys[:len(sums)], sums
+
+
+def _mirror_values(keys, v, s, scratch):
+    """The value of each entry's mirror, for distinct ascending keys
+    r << s | c and their values v, or None where a mirror is absent. On a
+    symmetric pattern the sorted mirrors are the keys, and the mirrors'
+    sort order scatters each value to its mirror's place; the mirrors
+    are built and sorted in scratch (int64, len(keys))."""
+    mirror = _mirrors(keys, s, out=scratch)
+    t, positions = _stable_sort(mirror, 1 << 2 * s)
+    out = np.empty_like(v)
+    for part in _blocks(len(v)):
+        if not np.array_equal(mirror[part] >> t, keys[part]):
+            return None
+        out[positions(part)] = v[part]
+    return out
 
 
 class SparseSymMatrix:
     """Symmetric sparse matrix in CSR form, full (not triangular) storage.
 
     The CSR arrays are fixed once set; the matvec reads a row-padded copy
-    built alongside them."""
+    of them that the first matvec builds."""
 
     def __init__(self, n, indptr, indices, data):
         self.n = int(n)
         self.indptr = indptr
         self.indices = indices
         self.data = data
-        lengths = np.diff(indptr)
-        self._row_of = np.repeat(np.arange(self.n), lengths)
+        self._row_of = np.repeat(np.arange(self.n), np.diff(indptr))
+        self._ell_cols = self._ell_vals = self._overflow = None
+
+    def _build_ell(self):
         # row-padded (ELL) copy for the matvec, stored by column: the
         # first `width` entries of row i sit in column i of two
         # (width, n) arrays, padded with column index i and value 0.
@@ -63,11 +141,12 @@ class SparseSymMatrix:
         # CSR product does. Capping width at twice the mean row length
         # keeps one long row from padding every other; the entries past
         # the cap go to an overflow list.
+        lengths = np.diff(self.indptr)
         longest = int(lengths.max(initial=0))
         width = min(longest, 2 * self.nnz // max(self.n, 1))
-        cols, vals, self._overflow = indices, data, None
+        cols, vals = self.indices, self.data
         if width < longest:
-            over = np.arange(self.nnz) - indptr[self._row_of] >= width
+            over = np.arange(self.nnz) - self.indptr[self._row_of] >= width
             self._overflow = (self._row_of[over], cols[over], vals[over])
             cols, vals = cols[~over], vals[~over]
         filled = np.arange(width) < lengths[:, None]
@@ -87,70 +166,55 @@ class SparseSymMatrix:
         """
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
-        values = np.asarray(values, dtype=float).ravel()
+        values = np.ravel(values).astype(float)  # a copy: it is scratch
         if not (len(rows) == len(cols) == len(values)):
             raise ValueError("rows, cols, values must have equal length")
         if len(rows) and (rows.min() < 0 or rows.max() >= n
                           or cols.min() < 0 or cols.max() >= n):
             raise IndexOutOfRange(f"triplet index outside [0, {n})")
-
-        # position (r, c) has the key r << s | c; each temporary is
-        # deleted at its last use, which bounds the peak
-        s = max(int(n) - 1, 0).bit_length()
-        bound = 1 << 2 * s
-        keys = rows << s
+        keys = rows << _key_bits(n)
         keys |= cols
-        keys, order = _stable_order(keys, bound)
-        starts = np.empty(len(keys), dtype=bool)
-        starts[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=starts[1:])
-        starts = np.flatnonzero(starts)
-        keys = keys[starts]
-        v = np.add.reduceat(values[order], starts) if len(keys) else values
-        del order, starts
+        return cls._from_keys(n, keys, values)
 
-        # symmetry: R = A - A^T must vanish to round-off. The mirror of
-        # key r << s | c is c << s | r, and key < mirror iff r < c
-        mask = (1 << s) - 1
-        mirror = keys & mask
-        mirror <<= s
-        mirror |= keys >> s
-        # on a symmetric pattern the sorted mirrors are the sorted keys,
-        # and inverting the mirrors' sort order finds each one
-        sorted_mirror, perm = _stable_order(mirror, bound)
-        if not np.array_equal(sorted_mirror, keys):
+    @classmethod
+    def _from_keys(cls, n, keys, values):
+        """from_triplets on the keys row << s | col, s = _key_bits(n), of
+        the positions (int64, each in range), with no check of them. Both
+        arrays (values float64 and contiguous) are scratch: the build
+        overwrites them, and the matrix keeps no view of either."""
+        s = _key_bits(n)
+        keys, v = _sum_runs(keys, values, 1 << 2 * s)
+        # symmetry: R = A - A^T must vanish to round-off. The mirrors are
+        # sorted in the values' scratch, all of which are summed
+        resid = _mirror_values(keys, v, s, values.view(np.int64)[:len(v)])
+        if resid is None:
             # give every summed entry an explicit zero mirror and build
             # again: v + 0 is v, an absent mirror reads 0, and the zeros
             # fall under the drop rule
-            del rows, cols, values, sorted_mirror, perm
-            keys = np.r_[keys, mirror]
-            del mirror
-            return cls.from_triplets(n, keys >> s, keys & mask,
-                                     np.r_[v, np.zeros(len(v))])
-        del sorted_mirror
-        at = np.empty_like(perm)
-        at[perm] = np.arange(len(perm))
-        del perm
-        resid = v - v[at]
-        del at
+            return cls._from_keys(n, np.r_[keys, _mirrors(keys, s)],
+                                  np.r_[v, np.zeros(len(v))])
+        resid = np.subtract(v, resid, out=resid)
         vmax = float(np.abs(v).max()) if len(v) else 0.0
         if vmax > 0 and np.abs(resid).max() > 1e-14 * vmax:
             # R is antisymmetric: its first worst entry in (row, col)
-            # order lies above the diagonal
+            # order lies above the diagonal (the key below its mirror's)
+            mirror = _mirrors(keys, s)
             hit = np.flatnonzero(np.abs(resid) == np.abs(resid).max())
             k = hit[np.minimum(keys, mirror)[hit].argmin()]
             worst = resid[k] if keys[k] < mirror[k] else -resid[k]
             raise AsymmetricMatrix(
                 f"triplets are not symmetric (residual {worst:.3e} "
                 f"against max entry {vmax:.3e})")
-        del resid, mirror
-        c = keys & mask
-        r = np.right_shift(keys, s, out=keys)
-
+        del resid
         keep = np.abs(v) >= _DROP_TOL
         if not keep.all():
-            r, c, v = r[keep], c[keep], v[keep]
-        return cls(n, np.searchsorted(r, np.arange(n + 1)), c, v)
+            keys, v = keys[keep], v[keep]
+        del keep
+        c = keys & ((1 << s) - 1)
+        indptr = np.searchsorted(np.right_shift(keys, s, out=keys),
+                                 np.arange(n + 1))
+        del keys
+        return cls(n, indptr, c, v)
 
     @property
     def nnz(self):
@@ -158,6 +222,8 @@ class SparseSymMatrix:
 
     def matvec(self, x):
         x = np.asarray(x, dtype=float)
+        if self._ell_cols is None:
+            self._build_ell()
         # y = 0, then y += vals[j] * x[cols[j]] for j = 0, 1, ...: each
         # row sums its entries in storage order. take never wraps, as
         # every stored column index lies in [0, n)
@@ -188,11 +254,14 @@ class SparseSymMatrix:
             raise IndexOutOfRange(f"restrict index outside [0, {self.n})")
         new_id = -np.ones(self.n, dtype=np.int64)
         new_id[keep] = np.arange(len(keep))
-        rows, cols = new_id[self._row_of], new_id[self.indices]
-        mask = (rows >= 0) & (cols >= 0)
-        return SparseSymMatrix(
-            len(keep), np.searchsorted(rows[mask], np.arange(len(keep) + 1)),
-            cols[mask], self.data[mask])
+        # an entry stays where its row and its column do; the kept rows'
+        # first entries are found among the old rows of the kept entries
+        mask = np.repeat(new_id >= 0, np.diff(self.indptr))
+        cols = new_id[self.indices]
+        mask &= cols >= 0
+        cols = cols[mask]
+        indptr = np.searchsorted(self._row_of[mask], np.r_[keep, self.n])
+        return SparseSymMatrix(len(keep), indptr, cols, self.data[mask])
 
 
 @dataclass

@@ -562,6 +562,8 @@ def read_json(path):
         mesh = PolygonalMesh(xy, cells)
     except IndexOutOfRange as e:
         raise ValidationError(str(e)) from None
+    # the parsed document is dead once the mesh holds its arrays
+    del text, doc, verts, cells
     report = validate(mesh)
     if not report.ok:
         raise ValidationError("; ".join(report.violations))

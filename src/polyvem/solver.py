@@ -18,10 +18,14 @@ from .element import ElementBatch
 from .errors import NoConvergence, ValidationError, VemError
 # kept as a module attribute: perfbench's tracing tests look it up here
 from .geometry import cell_geometry  # noqa: F401
-from .linalg import SparseSymMatrix, cg_solve
+from .linalg import SparseSymMatrix, _key_bits, cg_solve
 from .mesh import generate
 
 CSV_HEADER = "level,h_max,n_dof,err_L2,err_H1,eoc_L2,eoc_H1,cg_iters,wall_ms"
+
+# cells per slice of a vertex-count group in assembly, so the element
+# matrices alive at once stay few whatever the mesh size
+_CELLS_PER_SLICE = 1 << 10
 
 
 @dataclass
@@ -142,44 +146,51 @@ def _assemble_parts(mesh, problem, nu_policy, quad_order, stiffness=None):
     """One batched pass per vertex count: stiffness triplets, load and
     the projector of every cell, as (ids, loops, Pi_star) per group.
     The local stiffness of a group is stiffness(vertices (C, N, 2)), or
-    the element's K when stiffness is None. The triplets of each group
-    go straight into three arrays sized once for the whole mesh. A
-    degenerate cell, one of fewer than 3 vertices included, raises the
-    VemError of its first failed check, naming the lowest such cell."""
+    the element's K when stiffness is None; both are built for
+    _CELLS_PER_SLICE cells at a time. The triplets go straight into a
+    key and a value array sized once for the whole mesh. A degenerate
+    cell, one of fewer than 3 vertices included, raises the VemError of
+    its first failed check, naming the lowest such cell."""
     if mesh.n_cells == 0:
         raise ValidationError("mesh has no cells")
     groups = mesh.cell_groups()
+    s = _key_bits(mesh.n_vertices)
     size = sum(loops.size * loops.shape[1] for _, loops, _ in groups)
-    rows = np.empty(size, dtype=np.int64)
-    cols = np.empty(size, dtype=np.int64)
+    keys = np.empty(size, dtype=np.int64)
     vals = np.empty(size)
     b = np.zeros(mesh.n_vertices)
     projectors, failures = [], []
     end = 0
     for ids, loops, geo in groups:
-        el = ElementBatch.of(geo, nu_policy)
-        failure = _first_failure(geo, el)
-        if failure is not None:
-            failures.append((ids[failure[0]], failure[1]))
-            continue
-        projectors.append((ids, loops, el.Pi_star))
-        K = el.K if stiffness is None else stiffness(geo.vertices)
-        del el  # of its element matrices, only K and Pi_star stay alive
-        c, n = loops.shape
-        start, end = end, end + c * n * n
-        # the (row, col, value) of entry (i, j) of cell k sit at k, i, j
-        rows[start:end].reshape(c, n, n)[:] = loops[:, :, None]
-        cols[start:end].reshape(c, n, n)[:] = loops[:, None, :]
-        vals[start:end].reshape(c, n, n)[:] = K
-        del K
-        # np.add.at adds in index order, so one call per group sums as
-        # one call over the concatenated groups would
-        np.add.at(b, loops,
-                  (_integrals(geo, problem.f, quad_order) / n)[:, None])
+        n = loops.shape[1]
+        Pi_star = np.empty((len(ids), 3, n))
+        for cells, part in geo._parts(_CELLS_PER_SLICE):
+            el = ElementBatch.of(part, nu_policy)
+            failure = _first_failure(part, el)
+            if failure is not None:
+                failures.append((ids[cells][failure[0]], failure[1]))
+                break
+            Pi_star[cells] = el.Pi_star
+            K = el.K if stiffness is None else stiffness(part.vertices)
+            del el  # of its element matrices, only K stays alive
+            start, end = end, end + K.size
+            # the key row << s | col and the value of entry (i, j) of
+            # cell k sit at k, i, j
+            at = keys[start:end].reshape(K.shape)
+            np.left_shift(loops[cells, :, None], s, out=at)
+            at |= loops[cells, None, :]
+            vals[start:end].reshape(K.shape)[:] = K
+            del K
+        else:  # no cell of the group failed
+            projectors.append((ids, loops, Pi_star))
+            # np.add.at adds in index order, so one call per group sums
+            # as one call over the concatenated groups would
+            np.add.at(b, loops,
+                      (_integrals(geo, problem.f, quad_order) / n)[:, None])
     if failures:
         ci, error = min(failures, key=lambda f: f[0])
         raise type(error)(f"cell {ci}: {error}") from error
-    A = SparseSymMatrix.from_triplets(mesh.n_vertices, rows, cols, vals)
+    A = SparseSymMatrix._from_keys(mesh.n_vertices, keys, vals)
     return A, b, projectors
 
 
@@ -208,7 +219,11 @@ def apply_dirichlet(A, b, mesh, g):
     interior = np.flatnonzero(~bnd)
     lift = np.zeros(mesh.n_vertices)
     lift[bnd] = g(mesh.vertices[bnd, 0], mesh.vertices[bnd, 1])
-    rhs = (b - A @ lift)[interior]
+    # A @ lift as the CSR row sums in storage order, which are the ELL
+    # matvec's sums wherever no row passes its width cap, with no
+    # row-padded copy of A
+    rhs = (b - np.bincount(A._row_of, weights=A.data * lift[A.indices],
+                           minlength=A.n))[interior]
     return DirichletSystem(
         matrix=A.restrict(interior), rhs=rhs,
         interior=interior, lift=lift)
@@ -227,6 +242,7 @@ def solve(mesh, problem, options=None, stiffness=None):
     A, b, projectors = _assemble_parts(
         mesh, problem, opts.nu_policy, opts.quad_order, stiffness)
     system = apply_dirichlet(A, b, mesh, problem.g)
+    del A, b  # CG needs the interior system only
     res = cg_solve(system.matrix, system.rhs, tol=opts.tol)
     if not res.converged:
         raise NoConvergence(

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 
-from polyvem.linalg import SparseSymMatrix
+from polyvem.linalg import SparseSymMatrix, _key_bits
 
 
 def traced_peak(fn):
@@ -26,16 +26,20 @@ def dense(A):
 
 
 def captured_triplets(monkeypatch, build):
-    """The (n, rows, cols, values) of every from_triplets call that
-    build() makes, each array flattened."""
+    """The (n, rows, cols, values) of every matrix build that build()
+    makes, each array flattened. Every build, from_triplets' included,
+    goes through SparseSymMatrix._from_keys; the rows and columns are
+    decoded from its keys row << s | col before it sorts them in place."""
     calls = []
-    real = SparseSymMatrix.from_triplets.__func__
+    real = SparseSymMatrix._from_keys.__func__
 
-    def spy(cls, n, rows, cols, values):
-        calls.append((n, np.ravel(rows), np.ravel(cols), np.ravel(values)))
-        return real(cls, n, rows, cols, values)
+    def spy(cls, n, keys, values):
+        s = _key_bits(n)
+        calls.append((n, keys >> s, keys & ((1 << s) - 1),
+                      np.array(values, dtype=float).ravel()))
+        return real(cls, n, keys, values)
 
     with monkeypatch.context() as patch:
-        patch.setattr(SparseSymMatrix, "from_triplets", classmethod(spy))
+        patch.setattr(SparseSymMatrix, "_from_keys", classmethod(spy))
         build()
     return calls

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from polyvem.element import ElementBatch, build_element, consistency_check
-from polyvem.errors import InvertedSubTriangle, NonPositiveArea, VemError
+from polyvem import solver
+from polyvem.errors import (
+    InvertedSubTriangle,
+    NonPositiveArea,
+    VemError,
+    ZeroLengthEdge,
+)
 from polyvem.geometry import CellBatch, cell_geometry, fan_quadrature
 from polyvem.mesh import (
     FAMILIES,
@@ -16,6 +22,8 @@ from polyvem.mesh import (
     validate,
 )
 from polyvem.solver import assemble, sinsin_problem, solve
+
+from conftest import captured_triplets
 
 STAPLE = np.array([
     [0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [2.0, 3.0],
@@ -98,6 +106,54 @@ def test_assembly_reports_the_lowest_failing_cell():
     clockwise = PolygonalMesh(mesh.vertices, cells)
     with pytest.raises(NonPositiveArea, match=rf"^cell {low}: signed area"):
         assemble(clockwise, sinsin_problem())
+
+
+@pytest.mark.parametrize("low, high", [(700, 1500), (1500, 2100)])
+def test_solve_names_the_lowest_bad_cell_across_element_slices(low, high):
+    # quad n=48 is one group of 2304 cells, three element slices; a
+    # clockwise cell and one with a collapsed edge sit in two of them
+    mesh = generate(MeshFamilySpec("quad", 48))
+    [(ids, _, _)] = mesh.cell_groups()
+    assert len(ids) > 2 * solver._CELLS_PER_SLICE
+    assert low // solver._CELLS_PER_SLICE != high // solver._CELLS_PER_SLICE
+    cells = [list(c) for c in mesh.cells]
+    cells[low] = cells[low][::-1]
+    cells[high][1] = cells[high][0]
+    bad = PolygonalMesh(mesh.vertices, cells)
+    with pytest.raises(NonPositiveArea) as one_cell:
+        cell_geometry(bad.cell_vertices(low))
+    with pytest.raises(NonPositiveArea) as got:
+        solve(bad, sinsin_problem())
+    assert str(got.value) == f"cell {low}: {one_cell.value}"
+    # with the clockwise cell mended, the collapsed edge is the lowest
+    cells[low] = cells[low][::-1]
+    with pytest.raises(ZeroLengthEdge) as got:
+        solve(PolygonalMesh(mesh.vertices, cells), sinsin_problem())
+    assert str(got.value) == f"cell {high}: edge 0 has zero length"
+
+
+@pytest.mark.parametrize("nu_policy", ["unit", "trace"])
+@pytest.mark.parametrize("family, n", [("perturbed_quad", 40),
+                                       ("hexagon", 64)])
+def test_sliced_assembly_keeps_the_whole_group_elements(
+        monkeypatch, family, n, nu_policy):
+    # assembly builds each group's elements a slice of cells at a time;
+    # its K and Pi_star must be what one ElementBatch of the whole group
+    # gives, bit for bit
+    mesh = generate(MeshFamilySpec(family, n, seed=3))
+    groups = mesh.cell_groups()
+    assert max(len(ids) for ids, _, _ in groups) > solver._CELLS_PER_SLICE
+    parts = []
+    [(_, _, _, values)] = captured_triplets(monkeypatch, lambda: parts.append(
+        solver._assemble_parts(mesh, sinsin_problem(), nu_policy, 4)))
+    [(_, _, projectors)] = parts
+    whole = [ElementBatch.of(geo, nu_policy) for _, _, geo in groups]
+    assert np.array_equal(values,
+                          np.concatenate([el.K.ravel() for el in whole]))
+    assert len(projectors) == len(whole)
+    for (ids, _, Pi_star), (want_ids, _, _), el in zip(projectors, groups,
+                                                       whole):
+        assert ids is want_ids and np.array_equal(Pi_star, el.Pi_star)
 
 
 def test_validate_lists_each_bad_cell_once_in_order():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polyvem import linalg
 from polyvem.errors import (
     AsymmetricMatrix,
     IndexOutOfRange,
@@ -240,9 +241,10 @@ def test_matvec_of_an_arrow_matrix_pads_no_row_to_the_full_width():
     diag[0] = 2.0 * n  # diagonally dominant, so SPD
     vals = np.r_[diag, -np.ones(2 * (n - 1))]
     A = SparseSymMatrix.from_triplets(n, rows, cols, vals)
-    assert A._ell_cols.size <= 2 * A.nnz + n
     x = np.random.default_rng(5).standard_normal(n)
     _assert_matvec_matches_dense(A, x)
+    # the first matvec builds the row-padded copy
+    assert A._ell_cols.size <= 2 * A.nnz + n
     res = cg_solve(A, np.ones(n))
     assert res.converged
     assert np.allclose(dense(A) @ res.x, 1.0, rtol=0, atol=1e-10)
@@ -281,14 +283,15 @@ def test_mirror_lookup_matches_unsorted_searchsorted(monkeypatch):
     # and entries small enough to be dropped, both must give what a
     # stable sort and numpy's own search give: the same arrays or the
     # same error
+    # every build, the rebuild included, goes through _from_keys
     calls = []
-    real = SparseSymMatrix.from_triplets.__func__
+    real = SparseSymMatrix._from_keys.__func__
 
-    def spy(cls, n, rows, cols, values):
+    def spy(cls, n, keys, values):
         calls.append(n)
-        return real(cls, n, rows, cols, values)
+        return real(cls, n, keys, values)
 
-    monkeypatch.setattr(SparseSymMatrix, "from_triplets", classmethod(spy))
+    monkeypatch.setattr(SparseSymMatrix, "_from_keys", classmethod(spy))
     rng = np.random.default_rng(8)
     sets, most = 20000, 11
     sizes = rng.integers(1, 9, sets)
@@ -379,6 +382,34 @@ def test_from_triplets_matches_a_unique_and_bincount_reference(
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
+@pytest.mark.parametrize("pattern", ["symmetric", "asymmetric"])
+def test_from_triplets_gives_the_same_matrix_after_a_stable_argsort(
+        monkeypatch, pattern):
+    # where key << t | place would pass 63 bits, as on a mesh of about a
+    # million vertices, the keys are sorted by the stable argsort, t = 0,
+    # and the runs, sums and mirrors are read from that order; a bound of
+    # 2**62 forces that branch on a small matrix
+    if pattern == "symmetric":
+        [(n, rows, cols, values)] = captured_triplets(monkeypatch,
+                                                      _assembly("hexagon"))
+    else:
+        # mirrored pairs, and entries too small to count with no mirror
+        rng = np.random.default_rng(4)
+        n, (r, c) = 200, rng.integers(0, 200, (2, 3000))
+        v = rng.random(3000)
+        rows, cols = np.r_[r, c, c[:100]], np.r_[c, r, c[:100] // 2]
+        values = np.r_[v, v, np.full(100, 1e-310)]
+        entries = set(zip(rows.tolist(), cols.tolist()))
+        assert entries != {(j, i) for i, j in entries}
+    want = _reference_from_triplets(n, rows, cols, values)
+    real = linalg._stable_sort
+    monkeypatch.setattr(linalg, "_stable_sort",
+                        lambda keys, bound: real(keys, 2 ** 62))
+    A = SparseSymMatrix.from_triplets(n, rows, cols, values)
+    for got, ref in zip((A.indptr, A.indices, A.data), want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
 @pytest.mark.parametrize("bound", [None, 2 ** 62],
                          ids=["unique-key", "stable-fallback"])
 def test_stable_order_is_the_stable_argsort(bound):
@@ -388,7 +419,8 @@ def test_stable_order_is_the_stable_argsort(bound):
     for t in (0, 1, 2, 17, 1000, 50000):
         keys = rng.integers(0, 1 + t // 20, t)
         b = int(keys.max(initial=0)) + 1 if bound is None else bound
-        sorted_keys, order = _stable_order(keys, b)
+        # the keys are sorted in place, so it gets a copy
+        sorted_keys, order = _stable_order(keys.copy(), b)
         want = np.argsort(keys, kind="stable")
         assert order.dtype == np.intp and sorted_keys.dtype == np.int64
         assert np.array_equal(order, want)
