@@ -1,9 +1,9 @@
 """Dependency-light linear algebra for symmetric systems.
 
 Everything here is deterministic: no pivoting heuristics, no randomized
-starts, and summation orders fixed by the data layout (the matvec sums
-each row's entries in storage order), so repeated runs produce
-bit-identical results.
+starts, and summation orders fixed by the data layout (every sparse
+product sums each row's entries in storage order), so repeated runs
+produce bit-identical results.
 """
 
 import math
@@ -118,11 +118,19 @@ def _mirror_values(keys, v, s, scratch):
     return out
 
 
+def _vector(A, x):
+    """x as a float vector, which must have A's length."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (A.n,):
+        raise ValueError(f"vector of shape {x.shape}, matrix of size {A.n}")
+    return x
+
+
 class SparseSymMatrix:
     """Symmetric sparse matrix in CSR form, full (not triangular) storage.
 
-    The CSR arrays are fixed once set; the matvec reads a row-padded copy
-    of them that the first matvec builds."""
+    Immutable: it holds n, the CSR arrays and the row of each entry, all
+    fixed once built. A @ x sums each row's entries in storage order."""
 
     def __init__(self, n, indptr, indices, data):
         self.n = int(n)
@@ -130,31 +138,6 @@ class SparseSymMatrix:
         self.indices = indices
         self.data = data
         self._row_of = np.repeat(np.arange(self.n), np.diff(indptr))
-        self._ell_cols = self._ell_vals = self._overflow = None
-
-    def _build_ell(self):
-        # row-padded (ELL) copy for the matvec, stored by column: the
-        # first `width` entries of row i sit in column i of two
-        # (width, n) arrays, padded with column index i and value 0.
-        # Padding reads the row's own x[i], so where the diagonal is
-        # stored a non-finite x[j] makes the same rows non-finite as the
-        # CSR product does. Capping width at twice the mean row length
-        # keeps one long row from padding every other; the entries past
-        # the cap go to an overflow list.
-        lengths = np.diff(self.indptr)
-        longest = int(lengths.max(initial=0))
-        width = min(longest, 2 * self.nnz // max(self.n, 1))
-        cols, vals = self.indices, self.data
-        if width < longest:
-            over = np.arange(self.nnz) - self.indptr[self._row_of] >= width
-            self._overflow = (self._row_of[over], cols[over], vals[over])
-            cols, vals = cols[~over], vals[~over]
-        filled = np.arange(width) < lengths[:, None]
-        self._ell_cols = np.repeat(np.arange(self.n)[None, :], width, 0)
-        self._ell_vals = np.zeros((width, self.n))
-        # filled through the (n, width) views, so row by row as in CSR
-        self._ell_cols.T[filled] = cols
-        self._ell_vals.T[filled] = vals
 
     @classmethod
     def from_triplets(cls, n, rows, cols, values):
@@ -220,22 +203,12 @@ class SparseSymMatrix:
     def nnz(self):
         return len(self.data)
 
-    def matvec(self, x):
-        x = np.asarray(x, dtype=float)
-        if self._ell_cols is None:
-            self._build_ell()
-        # y = 0, then y += vals[j] * x[cols[j]] for j = 0, 1, ...: each
-        # row sums its entries in storage order. take never wraps, as
-        # every stored column index lies in [0, n)
-        y = np.einsum("ji,ji->i", self._ell_vals,
-                      np.take(x, self._ell_cols, mode="wrap"))
-        if self._overflow is not None:
-            rows, cols, vals = self._overflow
-            y += np.bincount(rows, weights=vals * x[cols], minlength=self.n)
-        return y
-
     def __matmul__(self, x):
-        return self.matvec(x)
+        x = _vector(self, x)
+        # y = 0, then y[row] += data[k] * x[col] in storage order; with no
+        # entries bincount gives int zeros
+        return np.bincount(self._row_of, weights=self.data * x[self.indices],
+                           minlength=self.n).astype(float, copy=False)
 
     def diagonal(self):
         d = np.zeros(self.n)
@@ -247,6 +220,8 @@ class SparseSymMatrix:
         """Principal submatrix on a strictly increasing index set: a slice
         of sorted, unique, symmetric rows, so nothing is sorted or checked
         again."""
+        if len(keep) and np.asarray(keep).dtype.kind not in "iu":
+            raise ValueError("keep must hold integer indices")
         keep = np.asarray(keep, dtype=np.int64)
         if np.any(np.diff(keep) <= 0):
             raise ValueError("keep must be strictly increasing")
@@ -272,15 +247,36 @@ class CGResult:
     converged: bool
 
 
+def _padded_matvec(A):
+    """cg_solve's A @ x, on a row-padded (ELL) copy of A stored by
+    column: row i's entries fill column i of two (width, n) arrays in
+    storage order, padded with column i and value 0, so each row sums as
+    in A @ x, and a non-finite x[j] reaches the same rows wherever the
+    diagonal is stored. No row is padded past twice the mean length:
+    where one is longer, the kernel is A @ x itself."""
+    lengths = np.diff(A.indptr)
+    width = int(lengths.max(initial=0))
+    if width > 2 * A.nnz // max(A.n, 1):
+        return A.__matmul__
+    filled = np.arange(width) < lengths[:, None]
+    cols = np.repeat(np.arange(A.n)[None, :], width, 0)
+    vals = np.zeros((width, A.n))
+    # filled through the (n, width) views, so row by row as in CSR
+    cols.T[filled] = A.indices
+    vals.T[filled] = A.data
+    # take never wraps: every stored column lies in [0, n)
+    return lambda x: np.einsum("ji,ji->i", vals, np.take(x, cols, mode="wrap"))
+
+
 def cg_solve(A, b, tol=1e-12, max_iter=None):
     """Conjugate gradients with Jacobi preconditioning.
 
     Starts from zero, measures convergence as |r| <= tol * |b|, and is
     fully deterministic. A zero right-hand side returns the zero vector
     without iterating. Raises ZeroDiagonal if the preconditioner cannot
-    be formed.
+    be formed. Its products run on a row-padded copy of A, made on entry.
     """
-    b = np.asarray(b, dtype=float)
+    b = _vector(A, b)
     n = A.n
     if max_iter is None:
         max_iter = 10 * n
@@ -297,6 +293,7 @@ def cg_solve(A, b, tol=1e-12, max_iter=None):
     if bad.size:
         raise ZeroDiagonal(f"row {int(bad[0])} has nonpositive diagonal")
     minv = 1.0 / diag
+    matvec = _padded_matvec(A)
 
     # x, r, z and p are updated in place through one scratch vector; each
     # update rounds exactly as its out-of-place form (a + b == b + a)
@@ -311,7 +308,7 @@ def cg_solve(A, b, tol=1e-12, max_iter=None):
 
     rz = float(r @ z)
     for it in range(1, max_iter + 1):
-        q = A @ p
+        q = matvec(p)
         pq = float(p @ q)
         if not pq > 0.0:  # also stops at the first NaN
             return result(it - 1, math.sqrt(r @ r), False)

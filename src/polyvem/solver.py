@@ -219,14 +219,9 @@ def apply_dirichlet(A, b, mesh, g):
     interior = np.flatnonzero(~bnd)
     lift = np.zeros(mesh.n_vertices)
     lift[bnd] = g(mesh.vertices[bnd, 0], mesh.vertices[bnd, 1])
-    # A @ lift as the CSR row sums in storage order, which are the ELL
-    # matvec's sums wherever no row passes its width cap, with no
-    # row-padded copy of A
-    rhs = (b - np.bincount(A._row_of, weights=A.data * lift[A.indices],
-                           minlength=A.n))[interior]
+    rhs = (b - A @ lift)[interior]
     return DirichletSystem(
-        matrix=A.restrict(interior), rhs=rhs,
-        interior=interior, lift=lift)
+        matrix=A.restrict(interior), rhs=rhs, interior=interior, lift=lift)
 
 
 def solve(mesh, problem, options=None, stiffness=None):

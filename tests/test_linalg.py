@@ -20,7 +20,7 @@ from polyvem.harmonic_fem import _submesh_stiffness, subtriangulate
 from polyvem.mesh import FAMILIES, MeshFamilySpec, generate
 from polyvem.solver import PROBLEMS, apply_dirichlet, assemble
 
-from conftest import captured_triplets, dense
+from conftest import captured_triplets, dense, traced_peak
 
 
 def test_from_triplets_dedup():
@@ -109,6 +109,25 @@ def test_restrict_needs_strictly_increasing_keep(keep):
         A.restrict(keep)
 
 
+@pytest.mark.parametrize("keep", [
+    np.array([False, True]), np.array([False, True, True]), [0.0, 2.0]])
+def test_restrict_rejects_keep_that_is_not_integer(keep):
+    # a boolean mask is not read as the indices 0 and 1
+    A = SparseSymMatrix.from_triplets(3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="integer indices"):
+        A.restrict(keep)
+
+
+@pytest.mark.parametrize("length", [0, 2, 4])
+def test_product_and_cg_reject_a_vector_of_another_length(length):
+    A = SparseSymMatrix.from_triplets(3, [0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0])
+    message = rf"shape \({length},\), matrix of size 3"
+    with pytest.raises(ValueError, match=message):
+        A @ np.ones(length)
+    with pytest.raises(ValueError, match=message):
+        cg_solve(A, np.ones(length))
+
+
 def test_matvec_matches_dense():
     rng = np.random.default_rng(7)
     d = rng.standard_normal((8, 8))
@@ -147,28 +166,28 @@ def _random_symmetric(rng, n, entries, empty_rows=0):
 
 
 def _storage_order_matvec(A, x):
-    """y = 0, then y = y + (entry j of each row) for j = 0, 1, ... up to
-    the ELL width, where a row without an entry j adds 0 * x[i]; then
-    the entries past the width, added to each row in CSR order."""
-    width = A._ell_vals.shape[0]
+    """y = 0, then y[i] = y[i] + data[k] * x[indices[k]] for the entries
+    k of each row i in CSR order."""
     lengths = np.diff(A.indptr)
     y = np.zeros(A.n)
-    for j in range(width):
-        k = np.minimum(A.indptr[:-1] + j, max(A.nnz - 1, 0))
-        has = lengths > j
-        y = y + np.where(has, A.data[k] * x[A.indices[k]], 0.0 * x)
-    if width < lengths.max(initial=0):
-        extra = np.zeros(A.n)
-        for i in range(A.n):
-            for k in range(A.indptr[i] + width, A.indptr[i + 1]):
-                extra[i] += A.data[k] * x[A.indices[k]]
-        y = y + extra
+    for j in range(lengths.max(initial=0)):
+        rows = np.flatnonzero(lengths > j)
+        k = A.indptr[rows] + j
+        y[rows] = y[rows] + A.data[k] * x[A.indices[k]]
     return y
 
 
+def _below_the_cap(A):
+    """Whether cg_solve runs A's products on its row-padded copy: no row
+    is longer than twice the mean row length."""
+    return np.diff(A.indptr).max(initial=0) <= 2 * A.nnz // max(A.n, 1)
+
+
 def _assert_matvec_matches_dense(A, x):
-    # each row sums in storage order, bit for bit
+    # each row sums in storage order, bit for bit, and so does the
+    # product that cg_solve runs on A
     assert np.array_equal(A @ x, _storage_order_matvec(A, x))
+    assert np.array_equal(linalg._padded_matvec(A)(x), A @ x)
     d = dense(A)
     y = A @ x
     assert y.dtype == np.float64 and y.shape == (A.n,)
@@ -195,9 +214,22 @@ def test_matvec_matches_dense_on_random_matrices(n, entries, empty_rows):
 def test_matvec_sums_in_storage_order_past_one_einsum_buffer():
     # einsum works through buffers of 8192 elements
     rng = np.random.default_rng(12)
-    A = _random_symmetric(rng, 20000, 100000)
-    x = rng.standard_normal(20000)
+    n = 20000
+    A = _random_symmetric(rng, n, 100000)
+    x = rng.standard_normal(n)
     assert np.array_equal(A @ x, _storage_order_matvec(A, x))
+    # every row couples to the rows 4 offsets away on either side, so
+    # holds 9 entries: below the cap, cg_solve's padded copy is 20000
+    # columns of 9 slots, many einsum buffers
+    r = np.repeat(np.arange(n), 4)
+    c = (r + np.tile(rng.choice(np.arange(1, n // 2), 4, False), n)) % n
+    v = rng.standard_normal(len(r))
+    A = SparseSymMatrix.from_triplets(n, np.r_[r, c, np.arange(n)],
+                                      np.r_[c, r, np.arange(n)],
+                                      np.r_[v, v, np.full(n, 10.0)])
+    assert _below_the_cap(A) and np.diff(A.indptr).max() == 9
+    assert np.array_equal(linalg._padded_matvec(A)(x),
+                          _storage_order_matvec(A, x))
 
 
 def test_matvec_keeps_non_finite_entries_in_the_rows_that_store_them():
@@ -243,11 +275,27 @@ def test_matvec_of_an_arrow_matrix_pads_no_row_to_the_full_width():
     A = SparseSymMatrix.from_triplets(n, rows, cols, vals)
     x = np.random.default_rng(5).standard_normal(n)
     _assert_matvec_matches_dense(A, x)
-    # the first matvec builds the row-padded copy
-    assert A._ell_cols.size <= 2 * A.nnz + n
+    assert not _below_the_cap(A)
+    # padding every row to the hub's width would take 16 * n**2 bytes,
+    # 64 MB; CG's vectors and one product's temporaries take ~0.2 MB
+    assert traced_peak(lambda: cg_solve(A, np.ones(n))) <= 1 << 20
     res = cg_solve(A, np.ones(n))
     assert res.converged
     assert np.allclose(dense(A) @ res.x, 1.0, rtol=0, atol=1e-10)
+
+
+def test_products_and_cg_leave_the_matrix_as_built():
+    # the 1D Laplacian: SPD, and below the cap, so CG pads a copy
+    n = 50
+    i = np.arange(n - 1)
+    A = SparseSymMatrix.from_triplets(
+        n, np.r_[np.arange(n), i, i + 1], np.r_[np.arange(n), i + 1, i],
+        np.r_[np.full(n, 2.0), -np.ones(2 * (n - 1))])
+    before = dict(vars(A))
+    A @ np.ones(n)
+    assert cg_solve(A, np.ones(n)).iterations > 0
+    assert vars(A).keys() == before.keys()
+    assert all(vars(A)[name] is value for name, value in before.items())
 
 
 def _reference_from_triplets(n, rows, cols, values):

@@ -6,7 +6,7 @@ import pytest
 from polyvem import solver
 from polyvem.element import ElementBatch, build_element
 from polyvem.geometry import cell_geometry
-from polyvem.linalg import dense_sym_eigen
+from polyvem.linalg import _padded_matvec, dense_sym_eigen
 from polyvem.mesh import (
     FAMILIES,
     MeshFamilySpec,
@@ -324,8 +324,8 @@ def _solve_peak_per_triplet(family):
 def test_solve_peak_memory_per_stiffness_triplet(family):
     # solve keeps one key and one value buffer for the triplets, the
     # element matrices of one slice of cells at a time and the CSR
-    # matrix; only the interior matrix of the Dirichlet system gets a
-    # row-padded copy, and only once CG runs
+    # matrix; CG builds a row-padded copy of the interior matrix, which
+    # lives only while it runs
     assert _solve_peak_per_triplet(family) <= 100
 
 
@@ -351,8 +351,8 @@ def _relabelled(mesh, seed):
 
 @pytest.mark.parametrize("case", [*FAMILIES, "relabelled-hexagon"])
 def test_dirichlet_rhs_is_the_matvec_residual(case):
-    # apply_dirichlet sums A @ lift over the CSR rows in storage order,
-    # as the row-padded matvec does, and builds no padded copy of A
+    # apply_dirichlet's right-hand side is b - A @ lift, and cg_solve's
+    # row-padded product sums as A @ x does, bit for bit
     family = "hexagon" if case == "relabelled-hexagon" else case
     mesh = generate(MeshFamilySpec(family, 16, seed=4))
     if case == "relabelled-hexagon":
@@ -360,10 +360,15 @@ def test_dirichlet_rhs_is_the_matvec_residual(case):
     problem = PROBLEMS["quadratic"]()
     A, b = assemble(mesh, problem)
     system = apply_dirichlet(A, b, mesh, problem.g)
-    assert A._ell_cols is None
     want = (b - A @ system.lift)[system.interior]
     assert system.rhs.dtype == want.dtype
     assert np.array_equal(system.rhs, want)
+    rng = np.random.default_rng(1)
+    for M, v in ((A, system.lift), (A, rng.standard_normal(A.n)),
+                 (system.matrix, rng.standard_normal(system.matrix.n))):
+        # below the cap on the longest row, so on the padded copy
+        assert np.diff(M.indptr).max() <= 2 * M.nnz // M.n
+        assert np.array_equal(_padded_matvec(M)(v), M @ v)
 
 
 @pytest.mark.parametrize("k", [-200, 40, 120, 200, 354])
