@@ -50,7 +50,7 @@ def _add_solve_flags(p):
     p.add_argument("--nu-policy", choices=NU_POLICIES, default="unit",
                    help="stabilization scaling (default unit)")
     p.add_argument("--tol", type=float, default=1e-12,
-                   help="CG relative tolerance (default 1e-12)")
+                   help="CG relative tolerance in (0, 1) (default 1e-12)")
     p.add_argument("--quad-order", type=int, choices=(2, 4), default=4,
                    help="quadrature order for loads and errors (default 4)")
 
@@ -106,7 +106,7 @@ def build_parser():
     _add_solve_flags(p)
     p.set_defaults(problem=None)  # wireframe unless a problem is named
     p.add_argument("--size", type=float, default=640.0,
-                   help="canvas size in pixels (default 640)")
+                   help="canvas size in pixels, above 40 (default 640)")
     p.add_argument("--colorbar", action="store_true",
                    help="draw a colorbar next to a filled plot")
     p.add_argument("--out", metavar="PATH", required=True,
@@ -257,6 +257,12 @@ def main(argv=None):
     if (args.family == "perturbed_quad" and not getattr(args, "mesh", None)
             and not 0.0 <= args.perturbation < 0.5):
         print("error: --perturbation must lie in [0, 0.5)", file=sys.stderr)
+        return 2
+    if not 0.0 < getattr(args, "tol", 0.5) < 1.0:
+        print("error: --tol must lie in (0, 1)", file=sys.stderr)
+        return 2
+    if not 40.0 < getattr(args, "size", 640.0) < float("inf"):
+        print("error: --size must be finite and above 40", file=sys.stderr)
         return 2
     try:
         return args.func(args)

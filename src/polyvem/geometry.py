@@ -250,13 +250,11 @@ def fan_quadrature(vertices, order=2):
     """Quadrature on a polygon by fanning triangles from the centroid.
 
     Each triangle (centroid, v_i, v_{i+1}) carries a symmetric Gauss rule
-    exact to the requested polynomial degree (2 or 4). The polygon must be
-    star-shaped with respect to its centroid; an inverted fan triangle is
-    reported rather than silently producing negative weights.
+    exact to the requested polynomial degree (2 or 4). A zero-length edge,
+    a non-positive area or an inverted fan triangle (the polygon is not
+    star-shaped about its centroid) raises rather than giving bad weights.
     """
-    if order not in _TRI_RULES:
-        raise ValueError(f"unsupported quadrature order {order}; use 2 or 4")
     b = _one_cell(vertices)
-    _raise(b.area_error(0) or b.fan_error(0))
+    _raise(b.edge_error(0) or b.area_error(0) or b.fan_error(0))
     (_, x, y, w), = b.quadrature(order)
     return QuadratureRule(points=np.column_stack([x[0], y[0]]), weights=w[0])

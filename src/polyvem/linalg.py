@@ -22,8 +22,8 @@ from .errors import (
 # entries smaller than this are treated as structural zeros
 _DROP_TOL = 1e-300
 
-# entries per block of the passes over a matrix build's sorted keys, so
-# their temporaries stay small whatever the matrix size
+# runs per block of the gather-sum over a matrix build's sorted keys, so
+# its gathered copy of the values stays small whatever the matrix size
 _BLOCK = 1 << 12
 
 
@@ -31,11 +31,6 @@ def _key_bits(n):
     """The shift s of the key row << s | col of a position in an n x n
     matrix."""
     return max(int(n) - 1, 0).bit_length()
-
-
-def _blocks(size):
-    """Consecutive slices of at most _BLOCK entries of range(size)."""
-    return (slice(lo, min(lo + _BLOCK, size)) for lo in range(0, size, _BLOCK))
 
 
 def _stable_sort(keys, bound):
@@ -50,8 +45,7 @@ def _stable_sort(keys, bound):
     t = max(len(keys) - 1, 0).bit_length()
     if max(bound - 1, 0).bit_length() + t <= 63:
         keys <<= t
-        for part in _blocks(len(keys)):
-            keys[part] |= np.arange(part.start, part.stop)
+        keys |= np.arange(len(keys))
         keys.sort()
         return t, lambda part: keys[part] & ((1 << t) - 1)
     order = np.argsort(keys, kind="stable")
@@ -85,17 +79,15 @@ def _sum_runs(keys, values, bound):
     # len(keys) closes the last run
     starts = np.empty(len(keys) + 1, dtype=bool)
     starts[0] = starts[-1] = True
-    for part in _blocks(len(keys)):
-        lo, hi = max(part.start, 1), part.stop
-        np.greater(keys[lo:hi] ^ keys[lo - 1:hi - 1], (1 << t) - 1,
-                   out=starts[lo:hi])
+    np.greater(keys[1:] ^ keys[:-1], (1 << t) - 1, out=starts[1:-1])
     bounds = np.flatnonzero(starts)
     del starts
     # a block of runs at a time, so no sorted copy of every value is
     # made; a block's keys land before any run that a later block reads
     sums = np.empty(len(bounds) - 1)
-    for part in _blocks(len(sums)):
-        run = bounds[part.start:part.stop + 1]
+    for lo in range(0, len(sums), _BLOCK):
+        run = bounds[lo:lo + _BLOCK + 1]
+        part = slice(lo, lo + len(run) - 1)
         sums[part] = np.add.reduceat(
             values[positions(slice(run[0], run[-1]))], run[:-1] - run[0])
         keys[part] = keys[run[:-1]] >> t
@@ -108,13 +100,12 @@ def _mirror_values(keys, v, s, scratch):
     symmetric pattern the sorted mirrors are the keys, and the mirrors'
     sort order scatters each value to its mirror's place; the mirrors
     are built and sorted in scratch (int64, len(keys))."""
-    mirror = _mirrors(keys, s, out=scratch)
-    t, positions = _stable_sort(mirror, 1 << 2 * s)
+    mirror, order = _stable_order(_mirrors(keys, s, out=scratch),
+                                  1 << 2 * s)
+    if not np.array_equal(mirror, keys):
+        return None
     out = np.empty_like(v)
-    for part in _blocks(len(v)):
-        if not np.array_equal(mirror[part] >> t, keys[part]):
-            return None
-        out[positions(part)] = v[part]
+    out[order] = v
     return out
 
 
@@ -129,15 +120,16 @@ def _vector(A, x):
 class SparseSymMatrix:
     """Symmetric sparse matrix in CSR form, full (not triangular) storage.
 
-    Immutable: it holds n, the CSR arrays and the row of each entry, all
-    fixed once built. A @ x sums each row's entries in storage order."""
+    Immutable: it holds n and the CSR arrays indptr, indices and data,
+    fixed once built, and nothing else; a method that needs each entry's
+    row reads it from indptr. A @ x sums each row's entries in storage
+    order."""
 
     def __init__(self, n, indptr, indices, data):
         self.n = int(n)
         self.indptr = indptr
         self.indices = indices
         self.data = data
-        self._row_of = np.repeat(np.arange(self.n), np.diff(indptr))
 
     @classmethod
     def from_triplets(cls, n, rows, cols, values):
@@ -205,15 +197,17 @@ class SparseSymMatrix:
 
     def __matmul__(self, x):
         x = _vector(self, x)
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
         # y = 0, then y[row] += data[k] * x[col] in storage order; with no
         # entries bincount gives int zeros
-        return np.bincount(self._row_of, weights=self.data * x[self.indices],
+        return np.bincount(rows, weights=self.data * x[self.indices],
                            minlength=self.n).astype(float, copy=False)
 
     def diagonal(self):
         d = np.zeros(self.n)
-        on_diag = self._row_of == self.indices
-        d[self._row_of[on_diag]] = self.data[on_diag]
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        on_diag = rows == self.indices
+        d[self.indices[on_diag]] = self.data[on_diag]
         return d
 
     def restrict(self, keep):
@@ -229,13 +223,13 @@ class SparseSymMatrix:
             raise IndexOutOfRange(f"restrict index outside [0, {self.n})")
         new_id = -np.ones(self.n, dtype=np.int64)
         new_id[keep] = np.arange(len(keep))
-        # an entry stays where its row and its column do; the kept rows'
-        # first entries are found among the old rows of the kept entries
+        # an entry stays where its row and its column do; a kept row
+        # starts after the kept entries that stand before its old start
         mask = np.repeat(new_id >= 0, np.diff(self.indptr))
         cols = new_id[self.indices]
         mask &= cols >= 0
         cols = cols[mask]
-        indptr = np.searchsorted(self._row_of[mask], np.r_[keep, self.n])
+        indptr = np.r_[0, np.cumsum(mask)][self.indptr[np.r_[keep, self.n]]]
         return SparseSymMatrix(len(keep), indptr, cols, self.data[mask])
 
 

@@ -209,6 +209,19 @@ def test_perturbation_out_of_range_is_usage_error(
     assert not (tmp_path / "never.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "1", "0", "-0.5"])
+@pytest.mark.parametrize("command", [
+    ["run"], ["study", "--out", "never.csv"], ["plot", "--out", "never.svg"]])
+def test_tol_outside_the_open_unit_interval_is_usage_error(
+        tmp_path, monkeypatch, capsys, command, value):
+    # CG would stop after one iteration, or stall with a residual of 0
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--family", "hexagon", "--n", "2",
+                 "--tol", value]) == 2
+    assert capsys.readouterr().err == "error: --tol must lie in (0, 1)\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_perturbation_is_ignored_off_perturbed_quad(tmp_path, capsys):
     mesh_file = tmp_path / "m.json"
     assert main(["mesh", "--family", "quad", "--n", "2", "--perturbation",
@@ -292,6 +305,18 @@ def test_plot_bytes_deterministic(tmp_path):
                      "--problem", "sinsin", "--colorbar",
                      "--out", str(p)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-10", "40"])
+def test_plot_size_without_room_inside_the_margins_is_usage_error(
+        tmp_path, capsys, value):
+    # the two 20-pixel margins take 40 pixels of the canvas
+    out = tmp_path / "never.svg"
+    assert main(["plot", "--family", "quad", "--n", "2", "--size", value,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --size must be finite and above 40\n")
+    assert not out.exists()
 
 
 def test_plot_empty_mesh_fails(tmp_path, capsys):

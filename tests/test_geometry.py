@@ -99,7 +99,8 @@ def test_order4_exact_for_quartics():
 
 
 def test_quadrature_bad_order():
-    with pytest.raises(ValueError):
+    # the batch's own check: fan_quadrature makes none of its own
+    with pytest.raises(ValueError, match="^unsupported quadrature order 3"):
         fan_quadrature(UNIT_SQUARE, order=3)
 
 
@@ -111,6 +112,21 @@ def test_non_star_polygon_rejected():
     ])
     with pytest.raises(InvertedSubTriangle):
         fan_quadrature(staple, order=2)
+
+
+def test_fan_quadrature_reports_a_zero_length_edge_as_cell_geometry_does():
+    # vertex 2 repeats vertex 1; the fan triangle on edge 1 has no area
+    poly = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    for build in (cell_geometry, fan_quadrature):
+        with pytest.raises(ZeroLengthEdge, match="^edge 1 has zero length$"):
+            build(poly)
+
+
+@pytest.mark.parametrize("vertices", [
+    [[0.0, 0.0], [1.0, 0.0]], [0.0, 1.0, 2.0], np.zeros((4, 3))])
+def test_a_polygon_is_three_or_more_points_in_the_plane(vertices):
+    with pytest.raises(ValueError, match="^polygon must be an"):
+        cell_geometry(vertices)
 
 
 def test_cell_geometry_bundle():

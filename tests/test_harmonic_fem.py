@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+from polyvem import harmonic_fem
 from polyvem.element import build_element
-from polyvem.errors import DegenerateTriangle, InvertedSubTriangle
+from polyvem.errors import (
+    DegenerateTriangle,
+    InvertedSubTriangle,
+    NoConvergence,
+)
 from polyvem.geometry import cell_geometry
 from polyvem.harmonic_fem import (
     harmonic_stiffness,
@@ -11,7 +16,7 @@ from polyvem.harmonic_fem import (
     stability_report,
     subtriangulate,
 )
-from polyvem.linalg import dense_sym_eigen
+from polyvem.linalg import CGResult, dense_sym_eigen
 from polyvem.mesh import (
     FAMILIES,
     MeshFamilySpec,
@@ -221,6 +226,16 @@ def test_oracle_cauchy_in_levels():
     o3 = harmonic_stiffness(SQUARE, 3)
     o4 = harmonic_stiffness(SQUARE, 4)
     assert np.abs(o3 - o4).max() <= 1e-3 * np.linalg.norm(o3)
+
+
+def test_a_lifting_that_does_not_converge_raises(monkeypatch):
+    # every hat's CG reports a stall; the first hat's names it
+    monkeypatch.setattr(
+        harmonic_fem, "cg_solve",
+        lambda A, b, tol: CGResult(np.zeros(A.n), 7, 0.5, False))
+    with pytest.raises(NoConvergence, match=r"^lifting of hat 0 stalled at "
+                                            r"relative residual 5\.000e-01$"):
+        harmonic_stiffness(SQUARE, 2)
 
 
 def test_stability_triangle():

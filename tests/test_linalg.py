@@ -62,6 +62,11 @@ def test_from_triplets_rejects_asymmetric(rows, cols, vals, residual):
                                f"{residual} against max entry 1.000e+00)")
 
 
+def test_from_triplets_rejects_triplet_arrays_of_unequal_length():
+    with pytest.raises(ValueError, match="must have equal length"):
+        SparseSymMatrix.from_triplets(2, [0, 1], [0, 1], [1.0])
+
+
 def test_from_triplets_rejects_bad_index():
     with pytest.raises(IndexOutOfRange):
         SparseSymMatrix.from_triplets(2, [0, 2], [0, 2], [1.0, 1.0])
@@ -91,7 +96,8 @@ def test_restrict_matches_from_triplets_of_the_submatrix():
     keep = np.flatnonzero(rng.random(n) < 0.6)
     new_id = -np.ones(n, dtype=np.int64)
     new_id[keep] = np.arange(len(keep))
-    rows, cols = new_id[A._row_of], new_id[A.indices]
+    rows = new_id[np.repeat(np.arange(n), np.diff(A.indptr))]
+    cols = new_id[A.indices]
     inside = (rows >= 0) & (cols >= 0)
     expected = SparseSymMatrix.from_triplets(
         len(keep), rows[inside], cols[inside], A.data[inside])
@@ -244,7 +250,8 @@ def test_matvec_keeps_non_finite_entries_in_the_rows_that_store_them():
         np.r_[v, v, np.full(n, 10.0)])
     x = rng.standard_normal(n)
     x[[0, 7, 33]] = [np.inf, np.nan, -np.inf]
-    csr = np.bincount(A._row_of, weights=A.data * x[A.indices], minlength=n)
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    csr = np.bincount(rows, weights=A.data * x[A.indices], minlength=n)
     with np.errstate(invalid="ignore"):
         y = A @ x
     ok = np.isfinite(csr)
@@ -296,6 +303,17 @@ def test_products_and_cg_leave_the_matrix_as_built():
     assert cg_solve(A, np.ones(n)).iterations > 0
     assert vars(A).keys() == before.keys()
     assert all(vars(A)[name] is value for name, value in before.items())
+
+
+def test_a_matrix_holds_only_n_and_its_csr_arrays():
+    # built from triplets, from the assembly's keys, by restrict and with
+    # no entries: each is n, indptr, indices and data, and nothing more
+    A, _ = assemble(generate(MeshFamilySpec("hexagon", 4)),
+                    PROBLEMS["sinsin"]())
+    for M in (A, A.restrict(np.arange(0, A.n, 2)),
+              SparseSymMatrix.from_triplets(2, [0, 1], [0, 1], [1.0, 2.0]),
+              SparseSymMatrix.from_triplets(0, [], [], [])):
+        assert vars(M).keys() == {"n", "indptr", "indices", "data"}
 
 
 def _reference_from_triplets(n, rows, cols, values):
@@ -639,6 +657,11 @@ def test_eigen_rejects_asymmetric():
         dense_sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def test_eigen_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError, match="must be square"):
+        dense_sym_eigen(np.ones((2, 3)))
+
+
 def test_eigen_rejects_non_finite():
     with pytest.raises(NoConvergence):
         dense_sym_eigen(np.array([[1.0, np.nan], [np.nan, 1.0]]))
@@ -668,3 +691,11 @@ def test_generalized_bounds_kernel_mismatch():
     L = _path_laplacian()
     with pytest.raises(KernelMismatch):
         generalized_eig_bounds(L, np.eye(3))
+
+
+def test_generalized_bounds_reference_singular_beyond_the_constants():
+    # two disjoint edges: the reference also vanishes on (1, 1, -1, -1)
+    M = np.kron(np.eye(2), np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    with pytest.raises(KernelMismatch,
+                       match="singular beyond the declared kernel"):
+        generalized_eig_bounds(M, M)

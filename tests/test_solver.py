@@ -5,6 +5,7 @@ import pytest
 
 from polyvem import solver
 from polyvem.element import ElementBatch, build_element
+from polyvem.errors import NoConvergence
 from polyvem.geometry import cell_geometry
 from polyvem.linalg import _padded_matvec, dense_sym_eigen
 from polyvem.mesh import (
@@ -232,6 +233,17 @@ def test_quadratic_cg_iterations_are_pinned(family, iterations):
     assert solve(mesh, PROBLEMS["quadratic"]()).cg_iterations == iterations
 
 
+def test_solve_raises_where_cg_does_not_converge(monkeypatch):
+    # one iteration cannot reach the tolerance on this mesh
+    real = solver.cg_solve
+    monkeypatch.setattr(solver, "cg_solve",
+                        lambda A, b, tol: real(A, b, tol, max_iter=1))
+    with pytest.raises(NoConvergence,
+                       match=r"^CG stalled at relative residual "
+                             r"\d\.\d{3}e[-+]\d+ after 1 iterations$"):
+        solve(generate(MeshFamilySpec("hexagon", 8)), sinsin_problem())
+
+
 def test_patch_study_rates_flagged():
     table = convergence_study(
         MeshFamilySpec("quad", 2), 2, patch_problem())
@@ -332,8 +344,10 @@ def test_solve_peak_memory_per_stiffness_triplet(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_solve_peak_memory_stays_near_the_triplet_buffers(family):
     # the key and value buffers take 16 bytes per triplet; the CSR build
-    # sorts and sums in them, and its other temporaries are per distinct
-    # entry or per block
+    # sorts and sums in them. Its place tags and run starts take up to 9
+    # bytes per triplet more, one pass at a time, its mirror pass works
+    # per distinct entry, and it gathers the runs' values a block of runs
+    # at a time, so no sorted copy of every value is made
     assert _solve_peak_per_triplet(family) <= 64
 
 
