@@ -267,9 +267,12 @@ def cg_solve(A, b, tol=1e-12, max_iter=None):
 
     Starts from zero, measures convergence as |r| <= tol * |b|, and is
     fully deterministic. A zero right-hand side returns the zero vector
-    without iterating. Raises ZeroDiagonal if the preconditioner cannot
-    be formed. Its products run on a row-padded copy of A, made on entry.
+    without iterating. Raises ValueError unless 0 < tol < 1, and
+    ZeroDiagonal if the preconditioner cannot be formed. Its products run
+    on a row-padded copy of A, made on entry.
     """
+    if not 0.0 < tol < 1.0:  # also rejects NaN
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     b = _vector(A, b)
     n = A.n
     if max_iter is None:

@@ -193,7 +193,7 @@ class PolygonalMesh:
         """
         if self._groups is None:
             groups = []
-            for n in np.unique(self._sizes):
+            for n in np.flatnonzero(np.bincount(self._sizes)):
                 ids = np.flatnonzero(self._sizes == n)
                 loops = self._flat[self._starts[ids, None] + np.arange(n)]
                 groups.append((ids, loops, CellBatch(self.vertices[loops])))
@@ -558,12 +558,14 @@ def read_json(path):
                 raise ValidationError(
                     f"vertex {k} has a coordinate too large for a "
                     "float") from None
+    flat, sizes = _flatten(cells)
+    # the parsed document is dead once its arrays are built: free it
+    # before the mesh allocates its own
+    del text, doc, verts, cells
     try:
-        mesh = PolygonalMesh(xy, cells)
+        mesh = PolygonalMesh._from_ragged(xy, flat, sizes)
     except IndexOutOfRange as e:
         raise ValidationError(str(e)) from None
-    # the parsed document is dead once the mesh holds its arrays
-    del text, doc, verts, cells
     report = validate(mesh)
     if not report.ok:
         raise ValidationError("; ".join(report.violations))

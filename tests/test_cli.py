@@ -1,15 +1,19 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polyvem import solver
 from polyvem.cli import STABILITY_HEADER, main
-from polyvem.mesh import MeshFamilySpec, generate, read_json
+from polyvem.mesh import MeshFamilySpec, generate, read_json, write_json
 from polyvem.solver import CSV_HEADER
 
 
@@ -29,6 +33,29 @@ def test_unknown_family_is_usage_error(capsys):
     assert main(["mesh", "--family", "bogus"]) == 2
     err = capsys.readouterr().err
     assert "hanging_node" in err  # the message names the valid choices
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--mesh", "hexagon.json"],
+    ["run", "--family", "hexagon", "--n", "4"],
+    ["study", "--family", "hexagon", "--n", "2", "--levels", "2",
+     "--out", "study.csv"],
+    ["plot", "--family", "hexagon", "--n", "4", "--problem", "sinsin",
+     "--out", "plot.svg"],
+], ids=["run-mesh", "run-family", "study", "plot-problem"])
+def test_command_does_not_import_numpy_ma(tmp_path, command):
+    # np.unique imports numpy.ma under numpy 2, and the module objects
+    # then stay for the life of the process; no command needs them
+    write_json(generate(MeshFamilySpec("hexagon", 4)),
+               tmp_path / "hexagon.json")
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("import sys\nfrom polyvem.cli import main\n"
+              f"assert main({command!r}) == 0\n"
+              "assert 'numpy.ma' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_mesh_writes_loadable_json(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -499,6 +501,16 @@ def test_restrict_submatrix():
     A = SparseSymMatrix.from_triplets(3, r, c, d[r, c])
     S = A.restrict(np.array([0, 2]))
     assert np.array_equal(dense(S), np.array([[4.0, 0.0], [0.0, 6.0]]))
+
+
+@pytest.mark.parametrize("tol", [2.0, 1.0, 0.0, -1e-3, math.nan, math.inf])
+def test_cg_rejects_a_tolerance_outside_the_open_unit_interval(tol):
+    # tol=2 would stop after one iteration, and tol=nan would run to the
+    # iteration cap; a zero right-hand side does not skip the check
+    A = SparseSymMatrix.from_triplets(2, [0, 1], [0, 1], [1.0, 2.0])
+    for b in (np.ones(2), np.zeros(2)):
+        with pytest.raises(ValueError, match=r"^tol must lie in \(0, 1\)"):
+            cg_solve(A, b, tol=tol)
 
 
 def test_cg_exact_2x2():

@@ -439,8 +439,15 @@ _SQUARE_FAN = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]
       "vertex 4: not referenced by any cell"]),
     ([], [], [], [f"vertex {vi}: not referenced by any cell"
                   for vi in range(5)]),
+    # vertex counts 3 and 6 only, with no 4- or 5-vertex cell between
+    ([[0, 1, 4], [1, 2, 4, 3, 0, 4], [3, 0, 4], [2, 3, 4]],
+     [0, 1, 4, 1, 2, 4, 3, 0, 4, 3, 0, 4, 2, 3, 4], [3, 6, 3, 3],
+     ["cell 1: not star-shaped with respect to its centroid",
+      "edge (0,3): traversed in the same direction twice",
+      "edge (0,4): incident to 3 cells (non-manifold)",
+      "edge (3,4): incident to 3 cells (non-manifold)"]),
 ], ids=["lists", "arrays", "mixed", "T-by-3-array", "generator",
-        "empty-loop", "no-cells"])
+        "empty-loop", "no-cells", "triangles-and-a-hexagon"])
 def test_constructor_accepts_loop_forms(cells, flat, sizes, violations):
     m = PolygonalMesh(_SQUARE_FAN_VERTICES, cells)
     assert m._flat.dtype == np.int64 and m._flat.tolist() == flat
@@ -448,6 +455,14 @@ def test_constructor_accepts_loop_forms(cells, flat, sizes, violations):
     assert [c.tolist() for c in m.cells] == [
         flat[s:s + n] for s, n in zip(np.cumsum([0] + sizes), sizes)]
     assert m.cells is m.cells
+    # one group per vertex count that occurs, in ascending count, each
+    # with its cells in ascending order
+    groups = m.cell_groups()
+    assert [loops.shape[1] for _, loops, _ in groups] == sorted(set(sizes))
+    for ids, loops, _ in groups:
+        assert ids.tolist() == [ci for ci, n in enumerate(sizes)
+                                if n == loops.shape[1]]
+        assert loops.tolist() == [m.cells[ci].tolist() for ci in ids]
     assert validate(m).violations == violations
 
 

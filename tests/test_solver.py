@@ -244,6 +244,13 @@ def test_solve_raises_where_cg_does_not_converge(monkeypatch):
         solve(generate(MeshFamilySpec("hexagon", 8)), sinsin_problem())
 
 
+@pytest.mark.parametrize("tol", [2.0, 1.0, 0.0, -1e-3, math.nan, math.inf])
+def test_solve_rejects_a_tolerance_outside_the_open_unit_interval(tol):
+    with pytest.raises(ValueError, match=r"^tol must lie in \(0, 1\)"):
+        solve(generate(MeshFamilySpec("hexagon", 8)), sinsin_problem(),
+              SolveOptions(tol=tol))
+
+
 def test_patch_study_rates_flagged():
     table = convergence_study(
         MeshFamilySpec("quad", 2), 2, patch_problem())
