@@ -20,8 +20,8 @@ implicitly.
 
 Every matrix depends on vertex data only, so cells with the same vertex
 count N run the same fixed-shape algebra: ElementBatch builds the
-matrices of a whole CellBatch at once, and build_element runs it on a
-batch of one cell.
+matrices of a whole CellBatch at once, and build_element returns the
+row of a batch of one cell.
 """
 
 from dataclasses import dataclass
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularG
+from .geometry import _view
 
 NU_POLICIES = ("unit", "trace")
 
@@ -141,15 +142,6 @@ class ElementBatch:
                 f"projection Gram matrix is singular (det {self.det[k]:.3e})")
         return None
 
-    def element(self, k):
-        """LocalElementMatrices of cell k."""
-        if self.singular[k]:
-            raise self.g_error(k)
-        return LocalElementMatrices(
-            D=self.D[k], B=self.B[k], G=self.G[k], G_tilde=self.G_tilde[k],
-            Pi_star=self.Pi_star[k], Pi=self.Pi[k], K=self.K[k],
-            nu=float(self.nu[k]))
-
 
 def consistency_check(K, D, B):
     """Max residual of the exactness property on linear polynomials.
@@ -164,20 +156,6 @@ def consistency_check(K, D, B):
 
 
 @dataclass
-class LocalElementMatrices:
-    """Every matrix the construction produces for one cell."""
-
-    D: np.ndarray
-    B: np.ndarray
-    G: np.ndarray
-    G_tilde: np.ndarray
-    Pi_star: np.ndarray
-    Pi: np.ndarray
-    K: np.ndarray
-    nu: float
-
-
-@dataclass
 class StabilityConstants:
     """Measured spectral bounds of the element energy against a
     reference energy on the same cell."""
@@ -187,8 +165,13 @@ class StabilityConstants:
 
 
 def build_element(geom, nu_policy="unit"):
-    """Run the whole local construction for one cell."""
+    """Run the whole local construction for one cell: the row of its
+    one-cell ElementBatch, every array of the batch at cell 0. Raises
+    the batch's SingularG where G is singular."""
     h = np.asarray(geom.diameter)
     D = _monomials(geom.vertices, geom.centroid, h)
     B = _matrix_B(geom.edge_lengths, geom.edge_normals, h)
-    return ElementBatch(D[None], B[None], nu_policy).element(0)
+    el = ElementBatch(D[None], B[None], nu_policy)
+    if el.singular[0]:
+        raise el.g_error(0)
+    return _view(el, 0)

@@ -7,10 +7,12 @@ scale so behaviour does not depend on physical units.
 All cells with the same vertex count N are handled together: CellBatch
 takes them as one (C, N, 2) stack and computes every per-cell quantity
 in a single vectorized pass. cell_geometry and fan_quadrature run the
-same batch on a stack of one polygon, so there is one code path.
+same batch on a stack of one polygon, so there is one code path:
+cell_geometry returns that batch's row.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -153,17 +155,6 @@ class CellBatch:
                 "is not star-shaped with respect to its centroid")
         return None
 
-    def cell(self, k):
-        """CellGeometry of cell k."""
-        return CellGeometry(
-            vertices=self.vertices[k],
-            area=float(self.area[k]),
-            centroid=self.centroid[k],
-            diameter=float(self.diameter[k]),
-            edge_lengths=self.edge_lengths[k],
-            edge_normals=self.edge_normals[k],
-        )
-
     def quadrature(self, order=2):
         """Fan quadrature of the cells, in slices of at most
         _POINTS_PER_PASS points, or of one cell where a cell has more.
@@ -198,10 +189,16 @@ class CellBatch:
         step = max(1, step)
         for lo in range(0, len(self), step):
             cells = slice(lo, lo + step)
-            part = object.__new__(CellBatch)
-            part.__dict__.update(
-                (name, value[cells]) for name, value in vars(self).items())
-            yield cells, part
+            yield cells, _view(self, cells, CellBatch)
+
+
+def _view(batch, index, kind=SimpleNamespace):
+    """A `kind`, made without calling its __init__, whose attributes are
+    the batch's arrays at index: a slice of cells, or one cell (a row)."""
+    view = kind.__new__(kind)
+    vars(view).update(
+        (name, value[index]) for name, value in vars(batch).items())
+    return view
 
 
 def _one_cell(vertices):
@@ -213,23 +210,12 @@ def _raise(error):
         raise error
 
 
-@dataclass
-class CellGeometry:
-    """All per-cell geometric quantities the element construction needs."""
-
-    vertices: np.ndarray
-    area: float
-    centroid: np.ndarray
-    diameter: float
-    edge_lengths: np.ndarray
-    edge_normals: np.ndarray
-
-
 def cell_geometry(vertices):
-    """Bundle area, centroid, diameter and edge data for one polygon."""
+    """Area, centroid, diameter and edge data of one polygon: the row of
+    its one-cell CellBatch, every array of the batch at cell 0."""
     b = _one_cell(vertices)
     _raise(b.edge_error(0) or b.area_error(0))
-    return b.cell(0)
+    return _view(b, 0)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -214,8 +216,17 @@ def test_scaling_covariance():
 
 
 def test_singular_G_detected():
-    el = build_element(cell_geometry(UNIT_SQUARE))
+    g = cell_geometry(UNIT_SQUARE)
+    el = build_element(g)
     D = el.D.copy()
     D[:, 2] = D[:, 1]  # duplicate monomial column makes G rank deficient
-    with pytest.raises(SingularG):
-        ElementBatch(D[None], el.B[None]).element(0)
+    batch = ElementBatch(D[None], el.B[None])
+    assert batch.singular[0]
+    error = batch.g_error(0)
+    assert isinstance(error, SingularG)
+    # vertices and centroid moved onto the line y = x give build_element
+    # that same D (the edges, and so B, are kept)
+    g.vertices = g.vertices[:, [0, 0]]
+    g.centroid = g.centroid[[0, 0]]
+    with pytest.raises(SingularG, match=f"^{re.escape(str(error))}$"):
+        build_element(g)
