@@ -98,19 +98,27 @@ class CellBatch:
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
         vn = _next_vertex(v)
-        x, y, xn, yn = v[..., 0], v[..., 1], vn[..., 0], vn[..., 1]
         with np.errstate(all="ignore"):
             diameter = _diameters(v)
             d = vn - v
             lengths = np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
             normals = np.stack([d[..., 1], -d[..., 0]], axis=-1)
             normals /= lengths[..., None]
+            # cross, area, centroid and fan areas are formed about each
+            # cell's first vertex (the origin when there is none): their
+            # terms are then of the cell's size, not of its distance from
+            # the origin
+            origin = v[:, :1] if v.shape[1] else np.zeros((len(v), 1, 2))
+            lv = v - origin
+            vn -= origin
+            x, y, xn, yn = lv[..., 0], lv[..., 1], vn[..., 0], vn[..., 1]
             cross = x * yn - xn * y
             area = 0.5 * cross.sum(axis=-1)
-            centroid = ((v + vn) * cross[..., None]).sum(axis=-2)
+            centroid = ((lv + vn) * cross[..., None]).sum(axis=-2)
             centroid /= (6.0 * area)[:, None]
             cx, cy = centroid[:, None, 0], centroid[:, None, 1]
             fan = 0.5 * ((x - cx) * (yn - cy) - (xn - cx) * (y - cy))
+            centroid += origin[:, 0]
             tol = 1e-14 * diameter
             self.short_edge = ~(lengths > tol[:, None])
             self.bad_area = ~(area > tol * diameter)

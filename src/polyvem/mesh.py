@@ -28,6 +28,10 @@ from .linalg import _stable_order
 
 FAMILIES = ("quad", "perturbed_quad", "triangle", "hexagon", "hanging_node")
 
+# read_json's error message names at most this many violations, then
+# counts the rest
+_REPORTED_VIOLATIONS = 20
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -304,19 +308,24 @@ def validate(mesh):
         # near +-1e308; scaling by 4 is exact, so tol is unchanged elsewhere
         tol = 4e-12 * float(np.hypot(*(hi / 4 - lo / 4)))
         if tol > 0:
+            # each vertex is reported once, with its first earlier close
+            # partner; its own bin is scanned first, so a vertex of a
+            # coincident group stops at once, whatever lies next to it
             bins = {}
+            steps = [(0, 0)] + [(dx, dy) for dx in (-1, 0, 1)
+                                for dy in (-1, 0, 1) if dx or dy]
             for vi in np.flatnonzero(
                     _close_pair_candidates(mesh.vertices, tol)):
                 x, y = mesh.vertices[vi]
                 keyx, keyy = int(np.floor(x / tol)), int(np.floor(y / tol))
-                for dx in (-1, 0, 1):
-                    for dy in (-1, 0, 1):
-                        for vj in bins.get((keyx + dx, keyy + dy), ()):
-                            d = np.hypot(x - mesh.vertices[vj, 0],
-                                         y - mesh.vertices[vj, 1])
-                            if d <= tol:
-                                say(f"vertices {vj} and {vi}: closer than "
-                                    "1e-12 of the domain diameter")
+                partner = next(
+                    (vj for dx, dy in steps
+                     for vj in bins.get((keyx + dx, keyy + dy), ())
+                     if np.hypot(x - mesh.vertices[vj, 0],
+                                 y - mesh.vertices[vj, 1]) <= tol), None)
+                if partner is not None:
+                    say(f"vertices {partner} and {vi}: closer than "
+                        "1e-12 of the domain diameter")
                 bins.setdefault((keyx, keyy), []).append(vi)
 
     return report
@@ -568,5 +577,9 @@ def read_json(path):
         raise ValidationError(str(e)) from None
     report = validate(mesh)
     if not report.ok:
-        raise ValidationError("; ".join(report.violations))
+        shown = report.violations[:_REPORTED_VIOLATIONS]
+        rest = len(report.violations) - len(shown)
+        if rest:
+            shown.append(f"and {rest} more")
+        raise ValidationError("; ".join(shown))
     return mesh

@@ -161,18 +161,25 @@ def test_run_rejects_non_finite_error_norm(tmp_path, capsys, monkeypatch):
 
 
 def test_run_reports_the_norms_of_a_mesh_scaled_by_1e60(tmp_path, capsys):
-    # its squared L2 error, near 3e357, is past the float range
+    # quadratic on quad n=8 scaled by 2^200 (about 1.6e60): every stage
+    # scales by a power of two, so err_L2 is exactly 2^600 times the
+    # unscaled one, near 1e178, and its square is past the float range
     mesh = generate(MeshFamilySpec("quad", 8))
-    mesh_file = tmp_path / "scaled.json"
-    mesh_file.write_text(json.dumps(
-        {"vertices": (mesh.vertices * 1e60).tolist(),
-         "cells": [c.tolist() for c in mesh.cells]}))
-    assert main(["run", "--mesh", str(mesh_file), "--format", "json"]) == 0
-    out, err = capsys.readouterr()
-    report = json.loads(out)
-    assert err == ""
-    assert 1e178 < report["err_L2"] < 1e179
-    assert 1e119 < report["err_H1"] < 1e120
+    reports = []
+    for scale in (0, 200):
+        mesh_file = tmp_path / f"scaled-{scale}.json"
+        mesh_file.write_text(json.dumps(
+            {"vertices": np.ldexp(mesh.vertices, scale).tolist(),
+             "cells": [c.tolist() for c in mesh.cells]}))
+        assert main(["run", "--mesh", str(mesh_file), "--problem",
+                     "quadratic", "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        reports.append(json.loads(out))
+    base, scaled = reports
+    assert math.sqrt(sys.float_info.max) < scaled["err_L2"] < math.inf
+    assert scaled["err_L2"] == math.ldexp(base["err_L2"], 600)
+    assert scaled["err_H1"] == math.ldexp(base["err_H1"], 400)
 
 
 def test_run_with_huge_coordinates_raises_no_numpy_warning(tmp_path,

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
 
+from polyvem.cli import main
 from polyvem.errors import (
     IndexOutOfRange,
     ParseError,
@@ -205,9 +207,11 @@ def test_validate_reports_duplicate_vertices():
     assert any("closer than" in v for v in report.violations)
 
 
-def test_validate_lists_every_pair_in_a_close_cluster():
+def test_validate_reports_each_vertex_of_a_close_cluster_once():
     # four vertices around a bin corner of the close-vertex search, and a
-    # fifth near two of them; vertex 9 shares their x-range but not y
+    # fifth near two of them; vertex 9 shares their x-range but not y.
+    # Each vertex is named once, with its first earlier close partner:
+    # 8 with 7, which shares its bin, before 1, which does not
     tol = 4e-12 * float(np.hypot(0.25, 0.25))
     b = tol * np.floor(0.5 / tol)
     d = 0.3 * tol
@@ -215,10 +219,31 @@ def test_validate_lists_every_pair_in_a_close_cluster():
              [1.0, 1.0], [b - d, b + d], [0.0, 1.0], [b + d, b + d],
              [b + 3 * d, b + 0.5 * d], [0.5, 0.25]]
     cells = [[0, 2, 1], [2, 4, 3], [4, 6, 5], [6, 0, 7], [0, 9, 8]]
-    pairs = [(1, 3), (3, 5), (1, 5), (3, 7), (5, 7), (1, 7), (1, 8), (7, 8)]
+    pairs = [(1, 3), (3, 5), (3, 7), (7, 8)]
     assert validate(PolygonalMesh(verts, cells)).violations == [
         f"vertices {i} and {j}: closer than 1e-12 of the domain diameter"
         for i, j in pairs]
+
+
+def test_many_coincident_vertices_cost_linear_time_and_a_short_message(
+        tmp_path, capsys):
+    # 10^4 unreferenced vertices on one point inside quad n=8: validate
+    # names each once, and the CLI's message names the first few
+    k = 10_000
+    mesh = generate(MeshFamilySpec("quad", 8))
+    crowded = PolygonalMesh(
+        np.vstack([mesh.vertices, np.full((k, 2), 0.3)]), mesh.cells)
+    start = time.perf_counter()
+    report = validate(crowded)
+    assert time.perf_counter() - start < 2.0
+    assert len(report.violations) <= 2 * k
+    path = tmp_path / "crowded.json"
+    write_json(crowded, path)
+    assert main(["run", "--mesh", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: vertex 81: not referenced by any cell; ")
+    assert err.endswith(" more\n") and len(err.encode()) < 4096
 
 
 def test_validate_reports_orphan_vertex():

@@ -392,6 +392,23 @@ def test_dirichlet_rhs_is_the_matvec_residual(case):
         assert np.array_equal(_padded_matvec(M)(v), M @ v)
 
 
+@pytest.mark.parametrize("offset", [1e4, 1e6])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_translated_mesh_is_accepted_and_patch_exact(family, offset):
+    # the cells' shoelace and centroid terms are formed about each cell's
+    # own first vertex, so a far translation costs only the rounding of
+    # the vertices (relative to offset) and not the star-shape check.
+    # A tight CG tolerance keeps CG's own error below that rounding.
+    base = generate(MeshFamilySpec(family, 8, seed=7))
+    mesh = PolygonalMesh(base.vertices + offset, base.cells)
+    assert validate(mesh).ok
+    problem = patch_problem()
+    rep = error_norms(solve(mesh, problem, SolveOptions(tol=1e-15)),
+                      problem)
+    assert rep.err_L2 <= 1e-13 * offset
+    assert rep.err_H1 <= 1e-13 * offset
+
+
 @pytest.mark.parametrize("k", [-200, 40, 120, 200, 354])
 def test_error_norms_are_exact_under_power_of_two_scaling(k):
     # hexagon n=8 with its vertices scaled by 2^-k, on the quadratic
