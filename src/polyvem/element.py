@@ -168,10 +168,7 @@ def build_element(geom, nu_policy="unit"):
     """Run the whole local construction for one cell: the row of its
     one-cell ElementBatch, every array of the batch at cell 0. Raises
     the batch's SingularG where G is singular."""
-    h = np.asarray(geom.diameter)
-    D = _monomials(geom.vertices, geom.centroid, h)
-    B = _matrix_B(geom.edge_lengths, geom.edge_normals, h)
-    el = ElementBatch(D[None], B[None], nu_policy)
+    el = ElementBatch.of(_view(geom, None), nu_policy)
     if el.singular[0]:
         raise el.g_error(0)
     return _view(el, 0)

@@ -202,7 +202,8 @@ class CellBatch:
 
 def _view(batch, index, kind=SimpleNamespace):
     """A `kind`, made without calling its __init__, whose attributes are
-    the batch's arrays at index: a slice of cells, or one cell (a row)."""
+    the batch's arrays at index: a slice of cells, one cell (a row), or
+    None, which makes a row a one-cell batch (its scalars are numpy's)."""
     view = kind.__new__(kind)
     vars(view).update(
         (name, value[index]) for name, value in vars(batch).items())

@@ -137,19 +137,19 @@ def harmonic_stiffness(poly, levels=3):
     """(N, N) energy inner products of the P1 liftings of the boundary hats."""
     sub = subtriangulate(poly, levels)
     A = _submesh_stiffness(sub)
-    n = sub.trace.shape[0]
     interior = np.flatnonzero(~sub.boundary)
     liftings = np.array(sub.trace, dtype=float, copy=True)
+    products = np.empty_like(liftings)
     reduced = A.restrict(interior)
-    for i in range(n):
-        rhs = -(A @ liftings[i])[interior]
+    for i, lifting in enumerate(liftings):
+        rhs = -(A @ lifting)[interior]
         result = cg_solve(reduced, rhs, tol=1e-13)
         if not result.converged:
             raise NoConvergence(
                 f"lifting of hat {i} stalled at relative residual "
                 f"{result.residual:.3e}")
-        liftings[i, interior] = result.x
-    products = np.array([A @ liftings[i] for i in range(n)])
+        lifting[interior] = result.x
+        products[i] = A @ lifting
     matrix = liftings @ products.T
     return (matrix + matrix.T) / 2.0
 

@@ -159,9 +159,8 @@ class PolygonalMesh:
         # every traversal in edge order, for validate()
         self._edge_first, self._edge_counts = first, counts
         self._edge_tails = tail
-        self.boundary_edge_ids = np.flatnonzero(counts == 1)
         flags = np.zeros(len(self.vertices), dtype=bool)
-        flags[self.edges[self.boundary_edge_ids].ravel()] = True
+        flags[self.edges[counts == 1].ravel()] = True
         self.boundary_vertex_flags = flags
 
     @property

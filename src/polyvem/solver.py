@@ -265,31 +265,22 @@ def _unit_scaled(*arrays):
     return e
 
 
-class _ScaledSum:
-    """A running sum of non-negative terms kept as m * 2^e, m in [0.5, 1)
-    or 0, so that it neither underflows nor overflows. Power-of-two
-    scaling is exact, so it rounds as the plain float sum does wherever
-    that one stays in the normal range."""
-
-    def __init__(self):
-        self.m, self.e = 0.0, 0
-
-    def add(self, m, e):
-        """Add m * 2^e."""
-        m, k = math.frexp(m)
-        if m == 0.0:
-            return
-        e += k
-        top = max(self.e, e) if self.m else e
-        total = math.ldexp(self.m, self.e - top) + math.ldexp(m, e - top)
-        self.m, k = math.frexp(total)
-        self.e = top + k
-
-    def sqrt(self):
-        """The square root of the sum, inf where it overflows."""
-        m, e = (2.0 * self.m, self.e - 1) if self.e % 2 else (self.m, self.e)
-        with np.errstate(over="ignore"):
-            return float(np.ldexp(math.sqrt(m), e // 2))
+def _sqrt_of_sum(terms):
+    """The square root of the sum of non-negative terms m * 2^e, given
+    as (m, e) pairs, inf where it overflows. The terms are added in order
+    as mantissas under the largest exponent, so the sum neither under-
+    nor overflows; power-of-two scaling is exact, so it rounds as the
+    plain float sum does wherever that one stays in the normal range."""
+    top = max((e + math.frexp(m)[1] for m, e in terms if m), default=0)
+    total = 0.0
+    for m, e in terms:  # not sum(), which compensates from Python 3.12
+        total += math.ldexp(m, e - top)
+    m, e = math.frexp(total)
+    e += top
+    if e % 2:  # the root of 2^e needs an even e
+        m, e = 2.0 * m, e - 1
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(math.sqrt(m), e // 2))
 
 
 def error_norms(sol, problem, quad_order=4):
@@ -299,7 +290,7 @@ def error_norms(sol, problem, quad_order=4):
     before they are squared, and the sums are kept scaled, so a norm
     whose square lies outside the float range is still found."""
     mesh = sol.mesh
-    e_l2, e_h1 = _ScaledSum(), _ScaledSum()
+    l2, h1 = [], []
     for ids, _, geo in mesh.cell_groups():
         c = sol.cell_coeffs[ids]
         c1h = (c[:, 1] / geo.diameter)[:, None]
@@ -310,15 +301,15 @@ def error_norms(sol, problem, quad_order=4):
                     + c2h[cells] * (y - geo.centroid[cells, 1, None]))
             diff = problem.u(x, y) - proj
             ew, ed = _unit_scaled(w), _unit_scaled(diff)
-            e_l2.add(float(np.einsum("cq,cq,cq->", w, diff, diff)),
-                     ew + 2 * ed)
+            l2.append((float(np.einsum("cq,cq,cq->", w, diff, diff)),
+                       ew + 2 * ed))
             gx, gy = problem.grad_u(x, y)
             dx = gx - c1h[cells]
             dy = gy - c2h[cells]
             eg = _unit_scaled(dx, dy)
-            e_h1.add(float(np.einsum("cq,cq->", w, dx * dx + dy * dy)),
-                     ew + 2 * eg)
-    err_l2, err_h1 = e_l2.sqrt(), e_h1.sqrt()
+            h1.append((float(np.einsum("cq,cq->", w, dx * dx + dy * dy)),
+                       ew + 2 * eg))
+    err_l2, err_h1 = _sqrt_of_sum(l2), _sqrt_of_sum(h1)
     for name, err in (("err_L2", err_l2), ("err_H1", err_h1)):
         if not math.isfinite(err):
             raise VemError(f"error norm {name} is not finite ({err})")
@@ -328,11 +319,15 @@ def error_norms(sol, problem, quad_order=4):
         cg_iterations=sol.cg_iterations, wall_time=sol.wall_time)
 
 
-def _eoc(e_prev, e_cur, h_prev, h_cur):
-    # rates from near-zero errors are round-off noise, flag as undefined
+def _eoc(prev, cur, name):
+    """Rate of the error `name` from ErrorReport prev to cur; None at the
+    first level (no prev) and where an error is at round-off noise."""
+    if prev is None:
+        return None
+    e_prev, e_cur = getattr(prev, name), getattr(cur, name)
     if e_prev <= 1e-13 or e_cur <= 1e-13:
         return None
-    return math.log(e_prev / e_cur) / math.log(h_prev / h_cur)
+    return math.log(e_prev / e_cur) / math.log(prev.h_max / cur.h_max)
 
 
 def convergence_study(base_spec, levels, problem, options=None):
@@ -346,15 +341,9 @@ def convergence_study(base_spec, levels, problem, options=None):
         mesh = generate(spec)
         sol = solve(mesh, problem, opts)
         report = error_norms(sol, problem, quad_order=opts.quad_order)
-        if table.rows:
-            prev = table.rows[-1]
-            table.eoc_L2.append(
-                _eoc(prev.err_L2, report.err_L2, prev.h_max, report.h_max))
-            table.eoc_H1.append(
-                _eoc(prev.err_H1, report.err_H1, prev.h_max, report.h_max))
-        else:
-            table.eoc_L2.append(None)
-            table.eoc_H1.append(None)
+        prev = table.rows[-1] if table.rows else None
+        table.eoc_L2.append(_eoc(prev, report, "err_L2"))
+        table.eoc_H1.append(_eoc(prev, report, "err_H1"))
         table.rows.append(report)
     return table
 

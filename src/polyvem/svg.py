@@ -115,13 +115,9 @@ def mesh_scene(mesh, values=None, size=640.0, colorbar=False):
     xmax, ymax = verts.max(axis=0)
     extent = max(xmax - xmin, ymax - ymin, 1e-300)
     scale = (size - 2.0 * _MARGIN) / extent
-
-    def to_canvas(points):
-        out = np.empty_like(points)
-        out[:, 0] = _MARGIN + (points[:, 0] - xmin) * scale
-        out[:, 1] = size - _MARGIN - (points[:, 1] - ymin) * scale
-        return out
-
+    canvas = np.empty_like(verts)
+    canvas[:, 0] = _MARGIN + (verts[:, 0] - xmin) * scale
+    canvas[:, 1] = size - _MARGIN - (verts[:, 1] - ymin) * scale
     fills = [None] * mesh.n_cells
     crange = None
     if values is not None:
@@ -129,8 +125,7 @@ def mesh_scene(mesh, values=None, size=640.0, colorbar=False):
         vmin, vmax = float(values.min()), float(values.max())
         fills = [value_color(v, vmin, vmax) for v in values]
         crange = (vmin, vmax)
-    paths = [(to_canvas(mesh.cell_vertices(ci)), fills[ci])
-             for ci in range(mesh.n_cells)]
+    paths = [(canvas[loop], fill) for loop, fill in zip(mesh.cells, fills)]
     width = size + 80.0 if (colorbar and crange is not None) else size
     return SvgScene(width=width, height=size, paths=paths,
                     colorbar=crange if colorbar else None)
