@@ -126,7 +126,7 @@ class ElementBatch:
             del Kc
         self.D, self.B, self.G, self.G_tilde = D, B, G, G_tilde
         self.Pi_star, self.Pi, self.K, self.nu = Pi_star, Pi, K, nu
-        self.det, self.singular = det, singular
+        self._det, self.singular = det, singular
 
     @classmethod
     def of(cls, geo, nu_policy="unit"):
@@ -139,7 +139,7 @@ class ElementBatch:
         """SingularG for cell k, or None."""
         if self.singular[k]:
             return SingularG(
-                f"projection Gram matrix is singular (det {self.det[k]:.3e})")
+                f"projection Gram matrix is singular (det {self._det[k]:.3e})")
         return None
 
 

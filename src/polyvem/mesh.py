@@ -52,14 +52,14 @@ class XorShift64Star:
         s = int(seed) & _MASK64
         if s == 0:
             s = 0x9E3779B97F4A7C15
-        self.state = s
+        self._state = s
 
     def next_u64(self):
-        s = self.state
+        s = self._state
         s ^= s >> 12
         s = (s ^ (s << 25)) & _MASK64
         s ^= s >> 27
-        self.state = s
+        self._state = s
         return (s * 0x2545F4914F6CDD1D) & _MASK64
 
     def uniform(self):
@@ -307,9 +307,10 @@ def validate(mesh):
         # near +-1e308; scaling by 4 is exact, so tol is unchanged elsewhere
         tol = 4e-12 * float(np.hypot(*(hi / 4 - lo / 4)))
         if tol > 0:
-            # each vertex is reported once, with its first earlier close
-            # partner; its own bin is scanned first, so a vertex of a
-            # coincident group stops at once, whatever lies next to it
+            # each vertex is reported once, with one earlier close partner:
+            # the latest in its own bin, or else in the first bin around it
+            # that holds one, so a vertex of a coincident group stops at its
+            # predecessor, whatever else shares or borders its bin
             bins = {}
             steps = [(0, 0)] + [(dx, dy) for dx in (-1, 0, 1)
                                 for dy in (-1, 0, 1) if dx or dy]
@@ -319,7 +320,7 @@ def validate(mesh):
                 keyx, keyy = int(np.floor(x / tol)), int(np.floor(y / tol))
                 partner = next(
                     (vj for dx, dy in steps
-                     for vj in bins.get((keyx + dx, keyy + dy), ())
+                     for vj in reversed(bins.get((keyx + dx, keyy + dy), ()))
                      if np.hypot(x - mesh.vertices[vj, 0],
                                  y - mesh.vertices[vj, 1]) <= tol), None)
                 if partner is not None:

@@ -1,8 +1,9 @@
 """Dead-code guard over src/polyvem, read with the standard ast module:
 every exception class is called (raised with a message or constructed)
 somewhere, every imported name is used by the module that imports it,
-and every public function, class and method is named somewhere outside
-its own definition."""
+every public function, class and method is named somewhere outside
+its own definition, and every public attribute that a class sets on
+self is read outside that class."""
 
 import ast
 import re
@@ -94,3 +95,36 @@ def test_every_public_name_has_a_caller():
                 for qualname, node in _public_definitions(tree)
                 if named[node.name] <= _named(node)[node.name]]
     assert uncalled == []
+
+
+def _attribute_reads(tree):
+    """Counter of the attribute names a tree reads (x.name in a load)."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Load))
+
+
+def _self_attributes(cls):
+    """The public attribute names the methods of a class assign on self."""
+    return {node.attr for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+            and not node.attr.startswith("_")}
+
+
+def test_every_public_attribute_is_read_outside_its_class():
+    # an attribute that only its own class reads is private state, and
+    # one that nothing reads is dead
+    paths = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+             *(ROOT / "perfbench").glob("*.py")]
+    read = Counter()
+    for path in paths:
+        read += _attribute_reads(
+            ast.parse(path.read_text(), filename=str(path)))
+    unread = [f"{module}.{node.name}.{attr}"
+              for module, tree in _trees().items()
+              for node in tree.body if isinstance(node, ast.ClassDef)
+              for attr in sorted(_self_attributes(node))
+              if read[attr] <= _attribute_reads(node)[attr]]
+    assert unread == []

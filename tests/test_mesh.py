@@ -210,8 +210,8 @@ def test_validate_reports_duplicate_vertices():
 def test_validate_reports_each_vertex_of_a_close_cluster_once():
     # four vertices around a bin corner of the close-vertex search, and a
     # fifth near two of them; vertex 9 shares their x-range but not y.
-    # Each vertex is named once, with its first earlier close partner:
-    # 8 with 7, which shares its bin, before 1, which does not
+    # Each vertex is named once, with an earlier close partner from its
+    # own bin first: 8 with 7, which shares its bin, not 1, which does not
     tol = 4e-12 * float(np.hypot(0.25, 0.25))
     b = tol * np.floor(0.5 / tol)
     d = 0.3 * tol
@@ -244,6 +244,24 @@ def test_many_coincident_vertices_cost_linear_time_and_a_short_message(
     assert out == ""
     assert err.startswith("error: vertex 81: not referenced by any cell; ")
     assert err.endswith(" more\n") and len(err.encode()) < 4096
+
+
+def test_two_coincident_groups_in_one_bin_cost_linear_time():
+    # two groups of m coincident vertices at opposite corners of one bin
+    # of the close-vertex search, appended to quad n=8: a vertex of the
+    # later group stops at its own predecessor, not after the m vertices
+    # of the earlier group, which are all more than tol away
+    m = 4000
+    mesh = generate(MeshFamilySpec("quad", 8))
+    tol = 4e-12 * float(np.hypot(0.25, 0.25))
+    b = tol * np.floor(0.3 / tol)
+    groups = np.repeat([[b + 0.01 * tol], [b + 0.99 * tol]], m, axis=0)
+    crowded = PolygonalMesh(
+        np.vstack([mesh.vertices, np.hstack([groups, groups])]), mesh.cells)
+    start = time.perf_counter()
+    report = validate(crowded)
+    assert time.perf_counter() - start < 1.0
+    assert len(report.violations) <= 4 * m
 
 
 def test_validate_reports_orphan_vertex():
