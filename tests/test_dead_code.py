@@ -82,13 +82,19 @@ def _public_definitions(tree):
                         yield f"{node.name}.{item.name}", item
 
 
-def test_every_public_name_has_a_caller():
-    # tests do not count: a name that only a test calls is not needed
+def _program_trees():
+    """The modules of src/, demos/ and perfbench/. Tests do not count: a
+    name that only a test uses is not needed."""
     paths = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"),
              *(ROOT / "perfbench").glob("*.py")]
+    return [ast.parse(path.read_text(), filename=str(path))
+            for path in paths]
+
+
+def test_every_public_name_has_a_caller():
     named = Counter()
-    for path in paths:
-        named += _named(ast.parse(path.read_text(), filename=str(path)))
+    for tree in _program_trees():
+        named += _named(tree)
     named.update(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     uncalled = [f"{module}.{qualname}"
                 for module, tree in _trees().items()
@@ -116,12 +122,9 @@ def _self_attributes(cls):
 def test_every_public_attribute_is_read_outside_its_class():
     # an attribute that only its own class reads is private state, and
     # one that nothing reads is dead
-    paths = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"),
-             *(ROOT / "perfbench").glob("*.py")]
     read = Counter()
-    for path in paths:
-        read += _attribute_reads(
-            ast.parse(path.read_text(), filename=str(path)))
+    for tree in _program_trees():
+        read += _attribute_reads(tree)
     unread = [f"{module}.{node.name}.{attr}"
               for module, tree in _trees().items()
               for node in tree.body if isinstance(node, ast.ClassDef)
