@@ -244,9 +244,6 @@ def cmd_dump_element(args):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    if not argv:
-        parser.print_help(sys.stderr)
-        return 2
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -105,8 +105,6 @@ class ElementBatch:
             norm = np.linalg.norm(G, axis=(-2, -1))
             singular = ~(np.abs(det) >= 1e-12 * norm ** 3)
             inv /= det[:, None, None]
-            # singular cells project with the identity; they are flagged
-            inv[singular] = np.eye(3)
             Pi_star = inv @ B
             del inv
             G_tilde = G.copy()

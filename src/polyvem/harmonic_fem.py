@@ -138,7 +138,7 @@ def harmonic_stiffness(poly, levels=3):
     sub = subtriangulate(poly, levels)
     A = _submesh_stiffness(sub)
     interior = np.flatnonzero(~sub.boundary)
-    liftings = np.array(sub.trace, dtype=float, copy=True)
+    liftings = sub.trace
     products = np.empty_like(liftings)
     reduced = A.restrict(interior)
     for i, lifting in enumerate(liftings):
@@ -160,13 +160,14 @@ def stability_report(poly, K_vem, levels=3):
     return StabilityConstants(alpha_star_lower=lo, alpha_star_upper=hi)
 
 
-def p1_global_solve(mesh, problem, options=None):
+def p1_global_solve(mesh, problem):
     """Classical P1 solve on an all-triangle mesh.
 
-    The production solve with p1_stiffness as the local stiffness: the
-    right-hand side rule (cell average of the load spread evenly over the
-    vertices), the boundary treatment and CG are the polygonal driver's,
-    so a comparison against it exercises only the element matrices.
+    The production solve, with SolveOptions' defaults and p1_stiffness as
+    the local stiffness: the right-hand side rule (cell average of the
+    load spread evenly over the vertices), the boundary treatment and CG
+    are the polygonal driver's, so a comparison against it exercises
+    only the element matrices.
     """
     odd = [(ids[0], loops.shape[1]) for ids, loops, _ in mesh.cell_groups()
            if loops.shape[1] != 3]
@@ -175,4 +176,4 @@ def p1_global_solve(mesh, problem, options=None):
         raise ValueError(
             f"cell {ci} has {size} vertices; p1_global_solve "
             "needs an all-triangle mesh")
-    return solve(mesh, problem, options, stiffness=p1_stiffness).dof_values
+    return solve(mesh, problem, stiffness=p1_stiffness).dof_values

@@ -262,21 +262,21 @@ def _padded_matvec(A):
     return lambda x: np.einsum("ji,ji->i", vals, np.take(x, cols, mode="wrap"))
 
 
-def cg_solve(A, b, tol=1e-12, max_iter=None):
+def cg_solve(A, b, tol=1e-12):
     """Conjugate gradients with Jacobi preconditioning.
 
-    Starts from zero, measures convergence as |r| <= tol * |b|, and is
-    fully deterministic. A zero right-hand side returns the zero vector
-    without iterating. Raises ValueError unless 0 < tol < 1, and
-    ZeroDiagonal if the preconditioner cannot be formed. Its products run
-    on a row-padded copy of A, made on entry.
+    Starts from zero, measures convergence as |r| <= tol * |b|, stops
+    unconverged after 10 n iterations, and is fully deterministic. A zero
+    right-hand side returns the zero vector without iterating. Raises
+    ValueError unless 0 < tol < 1, and ZeroDiagonal if the preconditioner
+    cannot be formed. Its products run on a row-padded copy of A, made on
+    entry.
     """
     if not 0.0 < tol < 1.0:  # also rejects NaN
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     b = _vector(A, b)
     n = A.n
-    if max_iter is None:
-        max_iter = 10 * n
+    max_iter = 10 * n
     # CG runs on b * 2^-e with the largest |b_i| in [0.5, 1), so its dot
     # products cannot overflow; a power of two scales every iterate,
     # alpha and beta exactly, and x is scaled back on return

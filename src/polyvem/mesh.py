@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import CellBatch
-from .linalg import _stable_order
+from .linalg import _key_bits, _stable_order
 
 FAMILIES = ("quad", "perturbed_quad", "triangle", "hexagon", "hanging_node")
 
@@ -146,7 +146,7 @@ class PolygonalMesh:
         keep = tail != head
         tail, head = tail[keep], head[keep]
         # edge key lo << s | hi, sorted stably: cell order within an edge
-        s = max(len(self.vertices) - 1, 0).bit_length()
+        s = _key_bits(len(self.vertices))
         key = np.minimum(tail, head) << s
         key |= np.maximum(tail, head)
         key, order = _stable_order(key, 1 << 2 * s)

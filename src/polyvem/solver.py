@@ -115,8 +115,6 @@ class ErrorReport:
 
 @dataclass
 class ConvergenceTable:
-    problem: str
-    family: str
     rows: list = field(default_factory=list)
     eoc_L2: list = field(default_factory=list)  # None where undefined
     eoc_H1: list = field(default_factory=list)
@@ -194,13 +192,15 @@ def _assemble_parts(mesh, problem, nu_policy, quad_order, stiffness=None):
     return A, b, projectors
 
 
-def assemble(mesh, problem, nu_policy="unit", quad_order=4):
-    """Global stiffness and load before boundary conditions.
+def assemble(mesh, problem):
+    """Global stiffness and load before boundary conditions, built with
+    SolveOptions' default nu_policy and quad_order.
 
     The matrix is symmetric with the constant vector in its kernel;
     Dirichlet data has not been applied yet.
     """
-    A, b, _ = _assemble_parts(mesh, problem, nu_policy, quad_order)
+    opts = SolveOptions()
+    A, b, _ = _assemble_parts(mesh, problem, opts.nu_policy, opts.quad_order)
     return A, b
 
 
@@ -243,7 +243,7 @@ def solve(mesh, problem, options=None, stiffness=None):
         raise NoConvergence(
             f"CG stalled at relative residual {res.residual:.3e} "
             f"after {res.iterations} iterations")
-    dofs = system.lift.copy()
+    dofs = system.lift
     dofs[system.interior] = res.x
     coeffs = np.zeros((mesh.n_cells, 3))
     for ids, loops, Pi_star in projectors:
@@ -335,7 +335,7 @@ def convergence_study(base_spec, levels, problem, options=None):
     if levels < 2:
         raise ValueError("a convergence study needs at least 2 levels")
     opts = options or SolveOptions()
-    table = ConvergenceTable(problem=problem.name, family=base_spec.family)
+    table = ConvergenceTable()
     for k in range(levels):
         spec = replace(base_spec, n=base_spec.n * 2 ** k)
         mesh = generate(spec)

@@ -13,7 +13,7 @@ from polyvem.errors import SingularG
 from polyvem.geometry import cell_geometry
 from polyvem.linalg import dense_sym_eigen
 from polyvem.mesh import PolygonalMesh
-from polyvem.solver import ManufacturedProblem, assemble
+from polyvem.solver import ManufacturedProblem, _assemble_parts
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 PENTAGON = np.array([
@@ -188,7 +188,7 @@ def test_local_load_values():
 
     def load(f):
         problem = ManufacturedProblem("load", u=None, grad_u=None, f=f, g=None)
-        return assemble(mesh, problem, quad_order=2)[1]
+        return _assemble_parts(mesh, problem, "unit", 2)[1]
 
     assert load(lambda x, y: np.ones_like(x)) == pytest.approx(
         [0.25] * 4, abs=1e-14)
