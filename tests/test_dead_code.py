@@ -2,10 +2,14 @@
 every exception class is called (raised with a message or constructed)
 somewhere, every imported name is used by the module that imports it,
 every public function, class and method is named somewhere outside
-its own definition, and every public attribute that a class sets on
-self is read outside that class."""
+its own definition, every public attribute that a class sets on self
+is read outside that class, and every optional parameter of a public
+function or method is passed by some call in src/, demos/ or
+perfbench/. Names match by bare identifier, so a call to another
+function of the same name counts."""
 
 import ast
+import math
 import re
 from collections import Counter
 from pathlib import Path
@@ -131,3 +135,82 @@ def test_every_public_attribute_is_read_outside_its_class():
               for attr in sorted(_self_attributes(node))
               if read[attr] <= _attribute_reads(node)[attr]]
     assert unread == []
+
+
+def _optional_parameters(tree):
+    """(qualified name, callee, parameter, position) of every optional
+    parameter of the public functions and methods of a tree, a class's
+    __init__ included. The callee is the bare name a call uses (the
+    class's for __init__); the position is the parameter's index among
+    a call's positional arguments, None for a keyword-only one."""
+    for node in tree.body:
+        if (isinstance(node, ast.FunctionDef)
+                and not node.name.startswith("_")):
+            yield from _optional(node, node.name, node.name, method=False)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and (item.name == "__init__"
+                             or not item.name.startswith("_"))):
+                    callee = (node.name if item.name == "__init__"
+                              else item.name)
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    yield from _optional(item, f"{node.name}.{item.name}",
+                                         callee, method=not static)
+
+
+def _optional(func, qualname, callee, method):
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    skip = 1 if method else 0  # self or cls is never passed by position
+    for index in range(first, len(positional)):
+        yield qualname, callee, positional[index].arg, index - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield qualname, callee, arg.arg, None
+
+
+def _passed(tree):
+    """For each bare callee name in a tree: the number of positional
+    arguments its widest call passes, and the keywords its calls pass.
+    In a class body, cls(...) is a call to that class; a *args splat
+    passes every position and a **kwargs splat every keyword."""
+    widest, keywords = Counter(), {}
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "cls" and cls is not None:
+                name = cls
+            width = (math.inf if any(isinstance(a, ast.Starred)
+                                     for a in node.args) else len(node.args))
+            widest[name] = max(widest[name], width)
+            keywords.setdefault(name, set()).update(
+                "**" if k.arg is None else k.arg for k in node.keywords)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(tree, None)
+    return widest, keywords
+
+
+def test_every_optional_parameter_is_passed_by_a_program_caller():
+    # an option that only tests set, or nothing sets, is a second code
+    # path that no program runs
+    widest, keywords = Counter(), {}
+    for tree in _program_trees():
+        w, k = _passed(tree)
+        for name in w:
+            widest[name] = max(widest[name], w[name])
+            keywords.setdefault(name, set()).update(k[name])
+    unpassed = [f"{module}.{qualname}({param})"
+                for module, tree in _trees().items()
+                for qualname, callee, param, position
+                in _optional_parameters(tree)
+                if not (position is not None and widest[callee] > position)
+                and not keywords.get(callee, set()) & {param, "**"}]
+    assert unpassed == []
