@@ -279,8 +279,21 @@ def validate(mesh):
     say = report.violations.append
 
     per_cell = np.full(mesh.n_cells, "", dtype=object)
+    # the corner angles about each vertex, and the vertices not to check
+    # for a fold: those on a boundary edge, in no cell or in a bad cell
+    angles = np.zeros(mesh.n_vertices)
+    unchecked = mesh.boundary_vertex_flags.copy()
     for ids, loops, geo in mesh.cell_groups():
         per_cell[ids] = _cell_violations(loops, geo)
+        unchecked[loops[per_cell[ids] != ""]] = True
+        # corner i turns from edge i - 1 to edge i, as their normals do;
+        # its interior angle is pi minus that turn, in (0, 2 pi)
+        n, m = geo.edge_normals, np.roll(geo.edge_normals, 1, axis=1)
+        with np.errstate(all="ignore"):
+            turn = np.arctan2(m[..., 0] * n[..., 1] - m[..., 1] * n[..., 0],
+                              (m * n).sum(axis=2))
+        angles += np.bincount(loops.ravel(), (np.pi - turn).ravel(),
+                              mesh.n_vertices)
     for ci in np.flatnonzero(per_cell != ""):
         say(f"cell {ci}: {per_cell[ci]}")
 
@@ -297,6 +310,7 @@ def validate(mesh):
 
     in_cell = np.zeros(mesh.n_vertices, dtype=bool)
     in_cell[mesh._flat] = True
+    unchecked |= ~in_cell
     for vi in np.nonzero(~in_cell)[0]:
         say(f"vertex {vi}: not referenced by any cell")
 
@@ -328,6 +342,12 @@ def validate(mesh):
                         "1e-12 of the domain diameter")
                 bins.setdefault((keyx, keyy), []).append(vi)
 
+    # the cells about an interior vertex cover a full turn k times, once
+    # in a mesh; more and they fold over each other there
+    turns = np.rint(angles / (2 * np.pi))
+    for vi in np.flatnonzero(~unchecked & (turns != 1)):
+        say(f"vertex {vi}: the corner angles of its cells sum to "
+            f"{2 * turns[vi]:g} pi, not 2 pi (the cells fold over it)")
     return report
 
 

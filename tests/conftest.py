@@ -18,6 +18,19 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def folded_fan():
+    """(vertices, cells) of 12 triangles about vertex 0 at (0.5, 0.5)
+    that wind twice around it: corner k at 60 k degrees + 0.1 rad, at
+    radius 0.2 for k < 6 and 0.4 for k >= 6. Each cell is fine on its
+    own, and every edge at vertex 0 is shared by two of them."""
+    angle = np.pi / 3 * np.arange(12) + 0.1
+    radius = np.where(np.arange(12) < 6, 0.2, 0.4)
+    corners = 0.5 + radius[:, None] * np.column_stack(
+        [np.cos(angle), np.sin(angle)])
+    cells = [[0, 1 + k, 1 + (k + 1) % 12] for k in range(12)]
+    return np.vstack([[0.5, 0.5], corners]), cells
+
+
 def dense(A):
     """The n x n array of a SparseSymMatrix, from its CSR arrays."""
     out = np.zeros((A.n, A.n))

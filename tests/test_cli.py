@@ -16,6 +16,8 @@ from polyvem.cli import STABILITY_HEADER, main
 from polyvem.mesh import MeshFamilySpec, generate, read_json, write_json
 from polyvem.solver import CSV_HEADER
 
+from conftest import folded_fan
+
 
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 2
@@ -138,6 +140,16 @@ def test_run_rejects_self_winding_cell(tmp_path, capsys):
         {"vertices": verts.tolist(), "cells": [[0, 1, 2, 3, 4]]}))
     assert main(["run", "--mesh", str(mesh_file)]) == 1
     assert "cell 0: winds more than once" in capsys.readouterr().err
+
+
+def test_run_rejects_mesh_folded_about_a_vertex(tmp_path, capsys):
+    verts, cells = folded_fan()
+    mesh_file = tmp_path / "folded.json"
+    mesh_file.write_text(json.dumps(
+        {"vertices": verts.tolist(), "cells": cells}))
+    assert main(["run", "--mesh", str(mesh_file)]) == 1
+    assert "vertex 0: the corner angles of its cells sum to 4 pi" in (
+        capsys.readouterr().err)
 
 
 def test_run_rejects_non_finite_error_norm(tmp_path, capsys, monkeypatch):

@@ -24,7 +24,7 @@ from polyvem.mesh import (
     write_json,
 )
 
-from conftest import traced_peak
+from conftest import folded_fan, traced_peak
 
 
 def test_xorshift_reference_stream():
@@ -190,6 +190,17 @@ def test_validate_reports_cell_winding_twice():
     assert validate(_pentagon([0, 1, 2, 3, 4])).ok
     assert validate(_pentagon([0, 2, 4, 1, 3])).violations == [
         "cell 0: winds more than once about its centroid"]
+
+
+def test_validate_reports_cells_folded_about_a_vertex():
+    # each triangle is positive and each edge at vertex 0 is paired, but
+    # the fan winds twice about vertex 0
+    verts, cells = folded_fan()
+    assert validate(PolygonalMesh(verts, cells)).violations == [
+        "vertex 0: the corner angles of its cells sum to 4 pi, not 2 pi "
+        "(the cells fold over it)"]
+    once = [[0, 1 + k, 1 + (k + 1) % 6] for k in range(6)]
+    assert validate(PolygonalMesh(verts[:7], once)).ok
 
 
 def test_validate_reports_nonmanifold_edge():
