@@ -11,7 +11,7 @@ function of the same name counts."""
 import ast
 import math
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import polyvem
@@ -172,12 +172,12 @@ def _optional(func, qualname, callee, method):
             yield qualname, callee, arg.arg, None
 
 
-def _passed(tree):
-    """For each bare callee name in a tree: the number of positional
+def _passed(trees):
+    """For each bare callee name in the trees: the number of positional
     arguments its widest call passes, and the keywords its calls pass.
     In a class body, cls(...) is a call to that class; a *args splat
     passes every position and a **kwargs splat every keyword."""
-    widest, keywords = Counter(), {}
+    widest, keywords = Counter(), defaultdict(set)
 
     def visit(node, cls):
         if isinstance(node, ast.ClassDef):
@@ -189,28 +189,24 @@ def _passed(tree):
             width = (math.inf if any(isinstance(a, ast.Starred)
                                      for a in node.args) else len(node.args))
             widest[name] = max(widest[name], width)
-            keywords.setdefault(name, set()).update(
+            keywords[name].update(
                 "**" if k.arg is None else k.arg for k in node.keywords)
         for child in ast.iter_child_nodes(node):
             visit(child, cls)
 
-    visit(tree, None)
+    for tree in trees:
+        visit(tree, None)
     return widest, keywords
 
 
 def test_every_optional_parameter_is_passed_by_a_program_caller():
     # an option that only tests set, or nothing sets, is a second code
     # path that no program runs
-    widest, keywords = Counter(), {}
-    for tree in _program_trees():
-        w, k = _passed(tree)
-        for name in w:
-            widest[name] = max(widest[name], w[name])
-            keywords.setdefault(name, set()).update(k[name])
+    widest, keywords = _passed(_program_trees())
     unpassed = [f"{module}.{qualname}({param})"
                 for module, tree in _trees().items()
                 for qualname, callee, param, position
                 in _optional_parameters(tree)
                 if not (position is not None and widest[callee] > position)
-                and not keywords.get(callee, set()) & {param, "**"}]
+                and not keywords[callee] & {param, "**"}]
     assert unpassed == []
