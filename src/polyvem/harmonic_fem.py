@@ -134,14 +134,19 @@ def _submesh_stiffness(sub):
 
 
 def harmonic_stiffness(poly, levels=3):
-    """(N, N) energy inner products of the P1 liftings of the boundary hats."""
+    """(N, N) energy inner products of the P1 liftings of the boundary hats.
+
+    Hats 0..N-2 are lifted by one CG solve each. The last needs none:
+    the hats sum to one on the boundary (exactly, as the trace values
+    are dyadic), and the lifting of the constant 1 is 1, since A @ 1 = 0.
+    So the last lifting is one minus the others.
+    """
     sub = subtriangulate(poly, levels)
     A = _submesh_stiffness(sub)
     interior = np.flatnonzero(~sub.boundary)
     liftings = sub.trace
-    products = np.empty_like(liftings)
     reduced = A.restrict(interior)
-    for i, lifting in enumerate(liftings):
+    for i, lifting in enumerate(liftings[:-1]):
         rhs = -(A @ lifting)[interior]
         result = cg_solve(reduced, rhs, tol=1e-13)
         if not result.converged:
@@ -149,7 +154,8 @@ def harmonic_stiffness(poly, levels=3):
                 f"lifting of hat {i} stalled at relative residual "
                 f"{result.residual:.3e}")
         lifting[interior] = result.x
-        products[i] = A @ lifting
+    liftings[-1, interior] = 1.0 - liftings[:-1, interior].sum(axis=0)
+    products = np.array([A @ lifting for lifting in liftings])
     matrix = liftings @ products.T
     return (matrix + matrix.T) / 2.0
 

@@ -7,6 +7,7 @@ from polyvem.errors import (
     DegenerateTriangle,
     InvertedSubTriangle,
     NoConvergence,
+    VemError,
 )
 from polyvem.geometry import cell_geometry
 from polyvem.harmonic_fem import (
@@ -16,7 +17,7 @@ from polyvem.harmonic_fem import (
     stability_report,
     subtriangulate,
 )
-from polyvem.linalg import CGResult, dense_sym_eigen
+from polyvem.linalg import CGResult, cg_solve, dense_sym_eigen
 from polyvem.mesh import (
     FAMILIES,
     MeshFamilySpec,
@@ -236,6 +237,82 @@ def test_a_lifting_that_does_not_converge_raises(monkeypatch):
     with pytest.raises(NoConvergence, match=r"^lifting of hat 0 stalled at "
                                             r"relative residual 5\.000e-01$"):
         harmonic_stiffness(SQUARE, 2)
+
+
+def _per_hat_harmonic_stiffness(poly, levels):
+    """The oracle with one CG solve per hat, the last one included."""
+    sub = subtriangulate(poly, levels)
+    A = harmonic_fem._submesh_stiffness(sub)
+    interior = np.flatnonzero(~sub.boundary)
+    liftings = sub.trace
+    products = np.empty_like(liftings)
+    reduced = A.restrict(interior)
+    for i, lifting in enumerate(liftings):
+        result = cg_solve(reduced, -(A @ lifting)[interior], tol=1e-13)
+        assert result.converged
+        lifting[interior] = result.x
+        products[i] = A @ lifting
+    matrix = liftings @ products.T
+    return (matrix + matrix.T) / 2.0
+
+
+def _random_star_polygons(rng, count):
+    """Polygons of 3 to 7 corners, star-shaped about their centroids;
+    every other one gets an extra vertex inside a random edge, so three
+    of its vertices are collinear."""
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(3, 8))
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        gaps = np.diff(np.r_[angles, angles[0] + 2.0 * np.pi])
+        if gaps.min() < 0.1 or gaps.max() > 0.9 * np.pi:
+            continue
+        r = rng.uniform(0.6, 1.0, n)
+        poly = np.column_stack([r * np.cos(angles), r * np.sin(angles)])
+        if len(out) % 2:
+            k, t = int(rng.integers(n)), rng.uniform(0.25, 0.75)
+            poly = np.insert(poly, k + 1,
+                             (1 - t) * poly[k] + t * poly[(k + 1) % n], axis=0)
+        try:
+            subtriangulate(poly, 0)
+        except VemError:
+            continue
+        out.append(poly)
+    return out
+
+
+def _largest_cell(family):
+    mesh = generate(MeshFamilySpec(family, 4))
+    return mesh.vertices[max(mesh.cells, key=len)]
+
+
+ORACLE_CELLS = ([_largest_cell(f) for f in FAMILIES]
+                + _random_star_polygons(np.random.default_rng(25), 20))
+
+
+@pytest.mark.parametrize("levels", range(5))
+def test_oracle_matches_one_solve_per_hat(levels):
+    # the last lifting is one minus the others, not a solve of its own
+    for poly in ORACLE_CELLS:
+        reference = _per_hat_harmonic_stiffness(poly, levels)
+        oracle = harmonic_stiffness(poly, levels)
+        assert np.abs(oracle - reference).max() <= (
+            1e-12 * np.abs(reference).max())
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_the_oracle_solves_one_lifting_fewer_than_it_has_hats(
+        monkeypatch, n):
+    calls = []
+
+    def counted(A, b, tol):
+        calls.append(len(b))
+        return cg_solve(A, b, tol)
+
+    monkeypatch.setattr(harmonic_fem, "cg_solve", counted)
+    angles = 2.0 * np.pi * np.arange(n) / n
+    harmonic_stiffness(np.column_stack([np.cos(angles), np.sin(angles)]), 2)
+    assert len(calls) == n - 1
 
 
 def test_stability_triangle():
