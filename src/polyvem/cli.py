@@ -36,7 +36,8 @@ def _add_mesh_source(p, generated_only=False):
     p.add_argument("--n", type=int, default=4,
                    help="resolution parameter (default 4)")
     p.add_argument("--perturbation", type=float, default=0.25,
-                   help="vertex jitter for perturbed_quad (default 0.25)")
+                   help="vertex jitter for perturbed_quad, in [0, 0.5) "
+                   "(default 0.25); near 0.5 a cell can invert")
     p.add_argument("--seed", type=int, default=0,
                    help="jitter seed for perturbed_quad (default 0)")
     if not generated_only:

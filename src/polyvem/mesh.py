@@ -69,7 +69,12 @@ class XorShift64Star:
 
 @dataclass(frozen=True)
 class MeshFamilySpec:
-    """Recipe for one generated mesh of the unit square."""
+    """Recipe for one generated mesh of the unit square.
+
+    perturbation may be any value in [0, 0.5), but near the top of that
+    range a jittered cell can turn inside out, and validation rejects
+    the mesh (n=16, seed 7 at 0.49; at n=32, 4 of seeds 0-19 at 0.45).
+    """
 
     family: str
     n: int

@@ -255,6 +255,18 @@ def test_perturbation_out_of_range_is_usage_error(
     assert not (tmp_path / "never.csv").exists()
 
 
+def test_perturbation_near_its_limit_can_give_an_invalid_mesh(capsys):
+    # 0.49 is accepted, but it turns cell 17 inside out; the mesh check
+    # says so and exits 1, with nothing on stdout
+    assert main(["run", "--family", "perturbed_quad", "--n", "16",
+                 "--seed", "7", "--perturbation", "0.49"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: cell 17: fan triangle at edge 3 is inverted; "
+                   "polygon is not star-shaped with respect to its "
+                   "centroid\n")
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "1", "0", "-0.5"])
 @pytest.mark.parametrize("command", [
     ["run"], ["study", "--out", "never.csv"], ["plot", "--out", "never.svg"]])
@@ -320,6 +332,32 @@ def test_stability_bytes_deterministic(tmp_path):
         assert main(["stability", "--family", "hanging_node", "--n", "2",
                      "--oracle-levels", "2", "--out", str(p)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# (alpha_lower, alpha_upper) of every cell at n=2 and --oracle-levels 3,
+# as the CSV read when the oracle ran one CG solve per hat; later changes
+# to how the reference is computed must keep them to 1e-10 relative
+FROZEN_STABILITY = {
+    "quad": [(1, 1.48837209302)] * 4,
+    "perturbed_quad": [(1, 1.4864411675), (1, 1.47041993781),
+                       (1, 1.45903190897), (1, 1.4890658046)],
+    "triangle": [(1, 1)] * 8,
+    "hexagon": [(1, 1.45338985192), (1, 1.17115655274), (1, 1.45338985192),
+                (1, 1.2118425463), (1, 1.2118425463)],
+    "hanging_node": [(1, 1.48837209302)] * 4
+    + [(0.813191502183, 1.48837209302)] * 2 + [(1, 1.48837209302)],
+}
+
+
+@pytest.mark.parametrize("family", FROZEN_STABILITY)
+def test_stability_alphas_are_frozen(capsys, family):
+    assert main(["stability", "--family", family, "--n", "2",
+                 "--oracle-levels", "3"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    got = np.array([row.split(",")[2:4] for row in rows], dtype=float)
+    frozen = np.array(FROZEN_STABILITY[family], dtype=float)
+    assert got.shape == frozen.shape
+    assert (np.abs(got - frozen) <= 1e-10 * frozen).all()
 
 
 def test_plot_wireframe_path_count(tmp_path):
