@@ -199,8 +199,11 @@ def cmd_stability(args):
     lines = [STABILITY_HEADER]
     for ci in range(mesh.n_cells):
         verts = mesh.cell_vertices(ci)
-        el = build_element(cell_geometry(verts), nu_policy=args.nu_policy)
-        sc = stability_report(verts, el.K, levels=args.oracle_levels)
+        try:
+            el = build_element(cell_geometry(verts), nu_policy=args.nu_policy)
+            sc = stability_report(verts, el.K, levels=args.oracle_levels)
+        except VemError as e:
+            raise type(e)(f"cell {ci}: {e}") from e
         resid = consistency_check(el.K, el.D, el.B)
         lines.append(f"{ci},{len(verts)},{sc.alpha_star_lower:.12g},"
                      f"{sc.alpha_star_upper:.12g},{resid:.12g}")

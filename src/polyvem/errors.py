@@ -18,8 +18,9 @@ class ZeroLengthEdge(VemError):
 
 
 class InvertedSubTriangle(VemError):
-    """A centroid-fan triangle has non-positive area; the polygon is not
-    star-shaped with respect to its centroid."""
+    """The polygon is not star-shaped with respect to its centroid: a
+    centroid-fan triangle has non-positive area, or the fan winds more
+    than once about the centroid."""
 
 
 class DegenerateTriangle(VemError):

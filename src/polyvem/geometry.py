@@ -82,17 +82,18 @@ class CellBatch:
 
     vertices is (C, N, 2), each polygon counterclockwise. Every per-cell
     quantity has the cell on axis 0: area (C,), centroid (C, 2),
-    diameter (C,), edge_lengths (C, N), edge_normals (C, N, 2) and
-    fan_areas (C, N), the signed areas of the centroid-fan triangles
-    (c, v_i, v_{i+1}). Edge i runs from vertex i to vertex i+1.
+    diameter (C,), edge_lengths (C, N) and edge_normals (C, N, 2). Edge
+    i runs from vertex i to vertex i+1; fan triangle i is (c, v_i,
+    v_{i+1}) about the centroid c.
 
-    Construction never raises, whatever N is. A degenerate cell gets
-    meaningless values and a flag in short_edge, bad_area or bad_fan;
-    edge_error, area_error and fan_error turn a flag into the exception
-    cell_geometry and fan_quadrature raise. Each test is written
-    `not value > tol`, so a NaN fails it. A cell of fewer than 3
-    vertices always fails one: its area is 0, and with one vertex so is
-    its single edge.
+    The batch is the one rule for a bad cell, which every path reports
+    through error(k). It checks four faults in this order: a zero-length
+    edge, a non-positive area, an inverted fan triangle, and a fan that
+    winds more than once (the last two: not star-shaped about c).
+    Construction never raises, whatever N is; a faulty cell gets
+    meaningless values. Each test is written `not value > tol`, so a NaN
+    fails it. A cell of fewer than 3 vertices always fails one: its area
+    is 0, and with one vertex so is its single edge.
     """
 
     def __init__(self, vertices):
@@ -117,50 +118,51 @@ class CellBatch:
             centroid = ((lv + vn) * cross[..., None]).sum(axis=-2)
             centroid /= (6.0 * area)[:, None]
             cx, cy = centroid[:, None, 0], centroid[:, None, 1]
-            fan = 0.5 * ((x - cx) * (yn - cy) - (xn - cx) * (y - cy))
+            x, y, xn, yn = x - cx, y - cy, xn - cx, yn - cy
+            fan = 0.5 * (x * yn - xn * y)
+            # once every fan triangle is positive, their angles at c sum
+            # to 2 pi times the number of turns the loop makes
+            turning = np.arctan2(2.0 * fan, x * xn + y * yn).sum(axis=-1)
             centroid += origin[:, 0]
             tol = 1e-14 * diameter
-            self.short_edge = ~(lengths > tol[:, None])
-            self.bad_area = ~(area > tol * diameter)
-            self.bad_fan = ~(fan > (tol * diameter)[:, None])
+            self._short_edge = ~(lengths > tol[:, None])
+            self._bad_area = ~(area > tol * diameter)
+            self._bad_fan = ~(fan > (tol * diameter)[:, None])
+            self._winds = ~(turning < 3.0 * np.pi)
         self.vertices = v
         self.area = area
         self.centroid = centroid
         self.diameter = diameter
         self.edge_lengths = lengths
         self.edge_normals = normals
-        self.fan_areas = fan
+        self._fan_areas = fan
 
     def __len__(self):
         return len(self.vertices)
 
     def faulty(self):
-        """(C,) mask of the cells with any geometric flag set."""
-        return (self.short_edge.any(axis=1) | self.bad_area
-                | self.bad_fan.any(axis=1))
+        """(C,) mask of the cells with any fault."""
+        return (self._short_edge.any(axis=1) | self._bad_area
+                | self._bad_fan.any(axis=1) | self._winds)
 
-    def edge_error(self, k):
-        """ZeroLengthEdge for cell k, or None."""
-        short = np.flatnonzero(self.short_edge[k])
+    def error(self, k, fan=True):
+        """The VemError of cell k's first fault, None if it has none.
+        With fan False only the edges and the area are checked: the
+        element needs no fan."""
+        short = np.flatnonzero(self._short_edge[k])
         if short.size:
             return ZeroLengthEdge(f"edge {int(short[0])} has zero length")
-        return None
-
-    def area_error(self, k):
-        """NonPositiveArea for cell k, or None."""
-        if self.bad_area[k]:
+        if self._bad_area[k]:
             return NonPositiveArea(
                 f"signed area {self.area[k]:.3e} is not positive; vertices "
                 "must be counterclockwise and non-degenerate")
-        return None
-
-    def fan_error(self, k):
-        """InvertedSubTriangle for cell k, or None."""
-        bad = np.flatnonzero(self.bad_fan[k])
-        if bad.size:
+        inverted = np.flatnonzero(self._bad_fan[k])
+        if fan and (inverted.size or self._winds[k]):
             return InvertedSubTriangle(
-                f"fan triangle at edge {int(bad[0])} is inverted; polygon "
-                "is not star-shaped with respect to its centroid")
+                (f"fan triangle at edge {int(inverted[0])} is inverted"
+                 if inverted.size else
+                 "fan winds more than once about the centroid")
+                + "; polygon is not star-shaped with respect to its centroid")
         return None
 
     def quadrature(self, order=2):
@@ -171,7 +173,7 @@ class CellBatch:
         points and weights of those cells, each (c, Q). Each fan triangle
         carries a symmetric Gauss rule exact to the requested degree (2
         or 4); a cell's points run by fan triangle, then by rule point.
-        Weights of flagged cells are meaningless.
+        Weights of faulty cells are meaningless.
         """
         if order not in _TRI_RULES:
             raise ValueError(
@@ -187,7 +189,7 @@ class CellBatch:
             corners[..., 1] = np.moveaxis(v, -1, 0)
             corners[..., 2] = np.moveaxis(_next_vertex(v), -1, 0)
             pts = (corners.reshape(-1, 3) @ bary.T).reshape(2, len(v), -1)
-            wts = (part.fan_areas[:, :, None] * w).reshape(len(v), -1)
+            wts = (part._fan_areas[:, :, None] * w).reshape(len(v), -1)
             yield cells, pts[0], pts[1], wts
 
     def _parts(self, step):
@@ -210,21 +212,20 @@ def _view(batch, index, kind=SimpleNamespace):
     return view
 
 
-def _one_cell(vertices):
-    return CellBatch(_as_polygon(vertices)[None])
-
-
-def _raise(error):
+def _one_cell(vertices, fan=True):
+    """The one-cell CellBatch of a polygon; raises the batch's error."""
+    batch = CellBatch(_as_polygon(vertices)[None])
+    error = batch.error(0, fan)
     if error is not None:
         raise error
+    return batch
 
 
 def cell_geometry(vertices):
     """Area, centroid, diameter and edge data of one polygon: the row of
-    its one-cell CellBatch, every array of the batch at cell 0."""
-    b = _one_cell(vertices)
-    _raise(b.edge_error(0) or b.area_error(0))
-    return _view(b, 0)
+    its one-cell CellBatch, every array of the batch at cell 0. Its fan
+    is not checked: the element needs none."""
+    return _view(_one_cell(vertices, fan=False), 0)
 
 
 @dataclass
@@ -245,11 +246,8 @@ def fan_quadrature(vertices, order=2):
     """Quadrature on a polygon by fanning triangles from the centroid.
 
     Each triangle (centroid, v_i, v_{i+1}) carries a symmetric Gauss rule
-    exact to the requested polynomial degree (2 or 4). A zero-length edge,
-    a non-positive area or an inverted fan triangle (the polygon is not
-    star-shaped about its centroid) raises rather than giving bad weights.
+    exact to the requested polynomial degree (2 or 4). Any CellBatch
+    fault raises rather than giving weights that miss or repeat a part.
     """
-    b = _one_cell(vertices)
-    _raise(b.edge_error(0) or b.area_error(0) or b.fan_error(0))
-    (_, x, y, w), = b.quadrature(order)
+    (_, x, y, w), = _one_cell(vertices).quadrature(order)
     return QuadratureRule(points=np.column_stack([x[0], y[0]]), weights=w[0])

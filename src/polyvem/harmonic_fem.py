@@ -26,7 +26,7 @@ import numpy as np
 
 from .element import StabilityConstants
 from .errors import DegenerateTriangle, NoConvergence
-from .geometry import _one_cell, _raise
+from .geometry import _one_cell
 from .linalg import SparseSymMatrix, cg_solve, generalized_eig_bounds
 from .solver import solve
 
@@ -60,13 +60,12 @@ def subtriangulate(poly, levels):
     (i, a, b), a, b >= 0, a + b <= m, at (a v_i + b v_{i+1} + (m-a-b) c)/m.
     Node (i, 0, b) is (i+1, b, 0), so (i, 0, 0) is c; a + b = m is edge i.
     Rows 0..N-1 are the vertices (i, m, 0), row N is c, then come the
-    nodes a >= 1 of each fan triangle in turn. A polygon that is
-    degenerate or not star-shaped about c raises CellBatch's error.
+    nodes a >= 1 of each fan triangle in turn. Any CellBatch fault
+    raises, so the fan covers the polygon exactly once.
     """
     if not 0 <= levels <= MAX_LEVELS:
         raise ValueError(f"levels must be in [0, {MAX_LEVELS}], got {levels}")
     geo = _one_cell(poly)
-    _raise(geo.edge_error(0) or geo.area_error(0) or geo.fan_error(0))
     v, c = geo.vertices[0], geo.centroid[0]
     n, m = len(v), 2 ** levels
     nxt = np.r_[1:n, 0]

@@ -231,29 +231,16 @@ class ValidationReport:
 
 
 def _cell_violations(loops, geo):
-    """(C,) per-cell message, "" where the cell is fine; the first failed
-    check of each cell wins."""
+    """(C,) per-cell message, "" where the cell is fine: the index checks
+    first, then the text of the batch's error for the cell."""
     out = np.full(len(loops), "", dtype=object)
+    for k in np.flatnonzero(geo.faulty()):
+        out[k] = str(geo.error(k))
     s = np.sort(loops, axis=1)
-    # fan angles about the centroid; once every fan triangle is positive
-    # they sum to 2 pi times the number of turns the loop makes
-    with np.errstate(all="ignore"):
-        a = geo.vertices - geo.centroid[:, None]
-        dot = (a * np.roll(a, -1, axis=1)).sum(axis=2)
-        turning = np.arctan2(2.0 * geo.fan_areas, dot).sum(axis=1)
-    checks = (
-        ((s[:, 1:] != s[:, :-1]).sum(axis=1) < 2,
-         "fewer than 3 distinct vertices"),
-        ((loops == np.roll(loops, -1, axis=1)).any(axis=1),
-         "repeated consecutive vertex index"),
-        (geo.bad_area, "non-positive area (clockwise or degenerate)"),
-        (geo.short_edge.any(axis=1), "zero-length edge"),
-        (geo.bad_fan.any(axis=1),
-         "not star-shaped with respect to its centroid"),
-        (turning > 3 * np.pi, "winds more than once about its centroid"),
-    )
-    for mask, text in reversed(checks):
-        out[mask] = text
+    out[(loops == np.roll(loops, -1, axis=1)).any(axis=1)] = \
+        "repeated consecutive vertex index"
+    out[(s[:, 1:] != s[:, :-1]).sum(axis=1) < 2] = \
+        "fewer than 3 distinct vertices"
     return out
 
 
@@ -279,7 +266,9 @@ def _close_pair_candidates(vertices, tol):
 
 
 def validate(mesh):
-    """Check every structural invariant and report all violations found."""
+    """Check every structural invariant and report all violations found.
+    A cell is reported by its index checks, then by CellBatch's error.
+    Only solve checks G for singularity: validate builds no elements."""
     report = ValidationReport()
     say = report.violations.append
 

@@ -121,15 +121,15 @@ class ConvergenceTable:
 
 
 def _first_failure(geo, el):
-    """A group's first failing cell and the error the one-cell path
-    raises there, checked in its order: edges, area, projection, fan
-    quadrature. None when every cell is fine."""
+    """A group's first failing cell and its error, None when every cell
+    is fine. The checks run in the one-cell path's order: the batch's
+    edge and area checks (cell_geometry), G (build_element), then its
+    fan and winding checks (fan_quadrature)."""
     bad = np.flatnonzero(geo.faulty() | el.singular)
     if not bad.size:
         return None
     k = int(bad[0])
-    return k, (geo.edge_error(k) or geo.area_error(k) or el.g_error(k)
-               or geo.fan_error(k))
+    return k, geo.error(k, fan=False) or el.g_error(k) or geo.error(k)
 
 
 def _integrals(geo, f, quad_order):

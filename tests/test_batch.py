@@ -161,8 +161,10 @@ def test_validate_lists_each_bad_cell_once_in_order():
     mesh, low, high = _two_bad_cells()
     cell_lines = [v for v in validate(mesh).violations if v.startswith("cell")]
     assert cell_lines == [
-        f"cell {low}: not star-shaped with respect to its centroid",
-        f"cell {high}: non-positive area (clockwise or degenerate)",
+        f"cell {low}: fan triangle at edge 3 is inverted; polygon is not "
+        "star-shaped with respect to its centroid",
+        f"cell {high}: signed area -4.688e-02 is not positive; vertices "
+        "must be counterclockwise and non-degenerate",
     ]
 
 
@@ -171,7 +173,8 @@ def test_degenerate_cells_raise_no_numpy_warnings():
     verts = [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
     cells = [[0, 1, 2], [0, 2, 3, 4]]  # a flat triangle and a good quad
     mesh = PolygonalMesh(verts, cells)
-    assert validate(mesh).violations[0].startswith("cell 0: non-positive")
+    assert validate(mesh).violations[0].startswith(
+        "cell 0: signed area 0.000e+00 is not positive")
     with pytest.raises(NonPositiveArea, match="^cell 0: "):
         assemble(mesh, sinsin_problem())
     batch = CellBatch(np.array([[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]))

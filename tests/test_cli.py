@@ -139,7 +139,7 @@ def test_run_rejects_self_winding_cell(tmp_path, capsys):
     mesh_file.write_text(json.dumps(
         {"vertices": verts.tolist(), "cells": [[0, 1, 2, 3, 4]]}))
     assert main(["run", "--mesh", str(mesh_file)]) == 1
-    assert "cell 0: winds more than once" in capsys.readouterr().err
+    assert "cell 0: fan winds more than once" in capsys.readouterr().err
 
 
 def test_run_rejects_mesh_folded_about_a_vertex(tmp_path, capsys):
@@ -317,6 +317,20 @@ def test_stability_csv(tmp_path):
         cell, nv, lo, hi, resid = line.split(",")
         assert 0.02 <= float(lo) <= float(hi) <= 50.0
         assert float(resid) <= 1e-12
+
+
+def test_stability_names_the_cell_that_fails(tmp_path, capsys):
+    # cell 17 of this mesh has an inverted fan triangle; the oracle's
+    # sub-mesh cannot be built there, and stability names the cell as
+    # run does
+    out = tmp_path / "stab.csv"
+    assert main(["stability", "--family", "perturbed_quad", "--n", "16",
+                 "--seed", "7", "--perturbation", "0.49",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: cell 17: fan triangle at edge 3 is inverted; polygon "
+        "is not star-shaped with respect to its centroid\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("levels", ["-1", "9"])

@@ -189,7 +189,8 @@ def test_validate_reports_cell_winding_twice():
     # about its centroid, so its area counts the inner pentagon twice
     assert validate(_pentagon([0, 1, 2, 3, 4])).ok
     assert validate(_pentagon([0, 2, 4, 1, 3])).violations == [
-        "cell 0: winds more than once about its centroid"]
+        "cell 0: fan winds more than once about the centroid; polygon is "
+        "not star-shaped with respect to its centroid"]
 
 
 def test_validate_reports_cells_folded_about_a_vertex():
@@ -496,7 +497,8 @@ _SQUARE_FAN = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]
     # vertex counts 3 and 6 only, with no 4- or 5-vertex cell between
     ([[0, 1, 4], [1, 2, 4, 3, 0, 4], [3, 0, 4], [2, 3, 4]],
      [0, 1, 4, 1, 2, 4, 3, 0, 4, 3, 0, 4, 2, 3, 4], [3, 6, 3, 3],
-     ["cell 1: not star-shaped with respect to its centroid",
+     ["cell 1: fan triangle at edge 1 is inverted; polygon is not "
+      "star-shaped with respect to its centroid",
       "edge (0,3): traversed in the same direction twice",
       "edge (0,4): incident to 3 cells (non-manifold)",
       "edge (3,4): incident to 3 cells (non-manifold)"]),
