@@ -16,7 +16,14 @@ from .element import NU_POLICIES, build_element, consistency_check
 from .errors import ValidationError, VemError
 from .geometry import cell_geometry
 from .harmonic_fem import MAX_LEVELS, stability_report
-from .mesh import FAMILIES, MeshFamilySpec, generate, read_json, to_json_text
+from .mesh import (
+    FAMILIES,
+    MeshFamilySpec,
+    _checked,
+    generate,
+    read_json,
+    to_json_text,
+)
 from .solver import (
     PROBLEMS,
     SolveOptions,
@@ -127,11 +134,13 @@ def build_parser():
 
 
 def _load_mesh(args):
+    """The mesh a command works on, checked as read_json checks a file,
+    so that no command writes or uses a mesh that read_json refuses."""
     if getattr(args, "mesh", None):
         return read_json(args.mesh)
     spec = MeshFamilySpec(args.family, args.n,
                           perturbation=args.perturbation, seed=args.seed)
-    return generate(spec)
+    return _checked(generate(spec))
 
 
 def _solve_options(args):

@@ -20,17 +20,25 @@ None of this feeds the production VEM solve; it is verification
 machinery only.
 """
 
+import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .element import StabilityConstants
-from .errors import DegenerateTriangle, NoConvergence
+from .errors import AsymmetricMatrix, DegenerateTriangle, NoConvergence
 from .geometry import _one_cell
 from .linalg import SparseSymMatrix, cg_solve, generalized_eig_bounds
 from .solver import solve
 
 MAX_LEVELS = 5
+
+# CG tolerance of each lifting. The matrix is liftings @ (A @ liftings).T,
+# and an exact lifting is A-orthogonal to every interior perturbation, so
+# its error is quadratic in the liftings' errors: 1e-8 leaves it at
+# round-off, with a quarter fewer CG iterations than 1e-13
+_LIFTING_TOL = 1e-8
 
 
 @dataclass
@@ -53,6 +61,57 @@ class SubTriangulation:
     trace: np.ndarray
 
 
+# What the sub-mesh of an n-gon at a level shares with every other: the
+# lattice numbering (own, a, b) of subtriangulate, its triangles, trace
+# and boundary, and the sub-mesh matrix's CSR pattern (indptr, indices).
+# The entry of run k sums the triplets order[runs[k]:runs[k + 1]] of
+# p1_stiffness(points[triangles]).ravel(), in from_triplets' order, and
+# mirror[k] is the entry at its transposed position. All are read-only.
+_Plan = namedtuple("_Plan", "own a b triangles trace boundary indptr "
+                   "indices order runs mirror")
+
+
+@functools.lru_cache(maxsize=8)
+def _plan(n, levels):
+    """The _Plan of an n-gon at a level, built once. Eight are kept, one
+    per vertex count of a mesh at one level. Most of a plan is the (n, M)
+    trace, which grows as n**2 4**levels: a 64-gon at level 5 takes
+    28 MiB, an 8-gon 1.75 MiB, and the 3- to 6-gons of the five families
+    at level 4 take 0.15-0.32 MiB."""
+    m = 2 ** levels
+    nxt = np.r_[1:n, 0]
+    # the m(m+1)/2 nodes a >= 1 of one fan triangle: first the m nodes on
+    # the edge, (m, 0) leading
+    r, col = np.triu_indices(m)
+    a, b = m - col, col - r
+    own = n + np.arange(n)[:, None] * (len(a) - 1) + np.arange(len(a))
+    own[:, 0] = np.arange(n)
+    size = n * len(a) + 1
+    lattice = np.empty((n, m + 1, m + 1), dtype=np.int64)
+    lattice[:, a, b] = own
+    lattice[:, 0, 1:] = lattice[nxt, 1:, 0]
+    lattice[:, 0, 0] = n
+    # node (a, b) gives the upward triangle (a, b), (a-1, b+1), (a-1, b)
+    # and, off the edge, the downward one (a, b+1), (a-1, b+1), (a, b)
+    ta = np.r_[np.c_[a, a - 1, a - 1], np.c_[a, a - 1, a][m:]]
+    tb = np.r_[np.c_[b, b + 1, b], np.c_[b + 1, b + 1, b][m:]]
+    triangles = lattice[:, ta, tb].reshape(-1, 3)
+    trace = np.zeros((n, size))
+    trace[np.arange(n)[:, None], own[:, :m]] = a[:m] / m
+    trace[nxt[:, None], own[:, :m]] = b[:m] / m
+    # triplet (k, i, j) sits at row triangles[k, i], column triangles[k, j]
+    keys = (triangles[:, :, None] * size + triangles[:, None, :]).ravel()
+    order = np.argsort(keys, kind="stable")
+    entries, runs = np.unique(keys[order], return_index=True)
+    rows, indices = np.divmod(entries, size)
+    plan = _Plan(own, a, b, triangles, trace, trace.any(axis=0),
+                 np.searchsorted(rows, np.arange(size + 1)), indices, order,
+                 runs, np.searchsorted(entries, indices * size + rows))
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
 def subtriangulate(poly, levels):
     """Fan a polygon from its centroid c, then refine 4-way `levels` times.
 
@@ -68,34 +127,15 @@ def subtriangulate(poly, levels):
     geo = _one_cell(poly)
     v, c = geo.vertices[0], geo.centroid[0]
     n, m = len(v), 2 ** levels
-    nxt = np.r_[1:n, 0]
-    # the m(m+1)/2 nodes a >= 1 of one fan triangle: first the m nodes on
-    # the edge, (m, 0) leading
-    r, col = np.triu_indices(m)
-    a, b = m - col, col - r
-    own = n + np.arange(n)[:, None] * (len(a) - 1) + np.arange(len(a))
-    own[:, 0] = np.arange(n)
-    points = np.empty((n * len(a) + 1, 2))
-    points[own] = (a[:, None] * v[:, None] + b[:, None] * v[nxt, None]
-                   + (m - a - b)[:, None] * c) / m
+    plan = _plan(n, levels)
+    a, b = plan.a[:, None], plan.b[:, None]
+    points = np.empty((plan.trace.shape[1], 2))
+    points[plan.own] = (a * v[:, None] + b * v[np.r_[1:n, 0], None]
+                        + (m - a - b) * c) / m
     points[n] = c
-    lattice = np.empty((n, m + 1, m + 1), dtype=np.int64)
-    lattice[:, a, b] = own
-    lattice[:, 0, 1:] = lattice[nxt, 1:, 0]
-    lattice[:, 0, 0] = n
-    # node (a, b) gives the upward triangle (a, b), (a-1, b+1), (a-1, b)
-    # and, off the edge, the downward one (a, b+1), (a-1, b+1), (a, b)
-    ta = np.r_[np.c_[a, a - 1, a - 1], np.c_[a, a - 1, a][m:]]
-    tb = np.r_[np.c_[b, b + 1, b], np.c_[b + 1, b + 1, b][m:]]
-    trace = np.zeros((n, len(points)))
-    trace[np.arange(n)[:, None], own[:, :m]] = a[:m] / m
-    trace[nxt[:, None], own[:, :m]] = b[:m] / m
-    return SubTriangulation(
-        points=points,
-        triangles=lattice[:, ta, tb].reshape(-1, 3),
-        boundary=trace.any(axis=0),
-        trace=trace,
-    )
+    # the trace is a copy: harmonic_stiffness writes the liftings into it
+    return SubTriangulation(points=points, triangles=plan.triangles,
+                            boundary=plan.boundary, trace=plan.trace.copy())
 
 
 def p1_stiffness(triangles):
@@ -116,7 +156,7 @@ def p1_stiffness(triangles):
     x, y = e[..., 0], e[..., 1]
     # x + y rounds as a sum over the length-2 axis, at a fraction of its
     # cost; only a zero can differ (-0.0 for +0.0), and a zero entry is
-    # dropped in assembly
+    # dropped in assembly or adds +-0 to a product of the sub-mesh matrix
     bad = np.flatnonzero(area2 <= 1e-14 * (x * x + y * y).max(axis=-1))
     if bad.size:
         raise DegenerateTriangle(
@@ -126,10 +166,27 @@ def p1_stiffness(triangles):
 
 
 def _submesh_stiffness(sub):
-    t = sub.triangles
-    return SparseSymMatrix.from_triplets(
-        len(sub.points), np.repeat(t, 3, axis=1), np.tile(t, (1, 3)),
-        p1_stiffness(sub.points[t]))
+    """from_triplets of the P1 stiffness triplets of a subtriangulate
+    result, on its cached plan; an n-gon at a level has n 4**level
+    triangles. Entries that sum to exactly 0, as on the right angles of a
+    quad's sub-mesh, stay in the pattern where from_triplets drops them:
+    a finite x gives each product 0 * x[j] = +-0, and a row sum that
+    starts at +0 is never -0, so adding it leaves A @ x bit for bit."""
+    n = len(sub.trace)
+    plan = _plan(n, (len(sub.triangles) // n).bit_length() // 2)
+    values = p1_stiffness(sub.points[sub.triangles]).ravel()
+    data = np.add.reduceat(values[plan.order], plan.runs)
+    # the symmetry check of from_triplets, with its text. The residual
+    # is antisymmetric, so its first worst entry in (row, col) order is
+    # the one above the diagonal that from_triplets names
+    resid = data - data[plan.mirror]
+    worst = resid[np.abs(resid).argmax()]
+    vmax = float(np.abs(data).max())
+    if abs(worst) > 1e-14 * vmax:
+        raise AsymmetricMatrix(
+            f"triplets are not symmetric (residual {worst:.3e} "
+            f"against max entry {vmax:.3e})")
+    return SparseSymMatrix(len(sub.points), plan.indptr, plan.indices, data)
 
 
 def harmonic_stiffness(poly, levels=3):
@@ -147,7 +204,7 @@ def harmonic_stiffness(poly, levels=3):
     reduced = A.restrict(interior)
     for i, lifting in enumerate(liftings[:-1]):
         rhs = -(A @ lifting)[interior]
-        result = cg_solve(reduced, rhs, tol=1e-13)
+        result = cg_solve(reduced, rhs, tol=_LIFTING_TOL)
         if not result.converged:
             raise NoConvergence(
                 f"lifting of hat {i} stalled at relative residual "

@@ -589,6 +589,12 @@ def read_json(path):
         mesh = PolygonalMesh._from_ragged(xy, flat, sizes)
     except IndexOutOfRange as e:
         raise ValidationError(str(e)) from None
+    return _checked(mesh)
+
+
+def _checked(mesh):
+    """The mesh, if validate finds nothing wrong with it; otherwise a
+    ValidationError naming its first violations."""
     report = validate(mesh)
     if not report.ok:
         shown = report.violations[:_REPORTED_VIOLATIONS]

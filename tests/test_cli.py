@@ -267,6 +267,29 @@ def test_perturbation_near_its_limit_can_give_an_invalid_mesh(capsys):
                    "centroid\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["mesh", "--out", "never.json"], ["plot", "--out", "never.svg"],
+    ["dump-element", "--cell", "17"], ["stability"]])
+def test_a_generated_mesh_is_checked_as_its_file_would_be(
+        tmp_path, monkeypatch, capsys, command):
+    # the mesh that perturbation 0.49 gives is refused by read_json; a
+    # command on the generated mesh exits 1 with the same text, and
+    # writes nothing
+    spec = ["--family", "perturbed_quad", "--n", "16", "--seed", "7",
+            "--perturbation", "0.49"]
+    mesh_file = tmp_path / "p.json"
+    write_json(generate(MeshFamilySpec("perturbed_quad", 16,
+                                       perturbation=0.49, seed=7)),
+               mesh_file)
+    assert main(["run", "--mesh", str(mesh_file)]) == 1
+    want = capsys.readouterr().err
+    assert "cell 17:" in want
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, *spec]) == 1
+    assert capsys.readouterr() == ("", want)
+    assert sorted(os.listdir(tmp_path)) == ["p.json"]
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "1", "0", "-0.5"])
 @pytest.mark.parametrize("command", [
     ["run"], ["study", "--out", "never.csv"], ["plot", "--out", "never.svg"]])

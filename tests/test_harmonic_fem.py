@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from polyvem import harmonic_fem
 from polyvem.element import build_element
 from polyvem.errors import (
+    AsymmetricMatrix,
     DegenerateTriangle,
     InvertedSubTriangle,
     NoConvergence,
@@ -11,13 +14,19 @@ from polyvem.errors import (
 )
 from polyvem.geometry import cell_geometry
 from polyvem.harmonic_fem import (
+    MAX_LEVELS,
     harmonic_stiffness,
     p1_global_solve,
     p1_stiffness,
     stability_report,
     subtriangulate,
 )
-from polyvem.linalg import CGResult, cg_solve, dense_sym_eigen
+from polyvem.linalg import (
+    CGResult,
+    SparseSymMatrix,
+    cg_solve,
+    dense_sym_eigen,
+)
 from polyvem.mesh import (
     FAMILIES,
     MeshFamilySpec,
@@ -298,6 +307,88 @@ def test_oracle_matches_one_solve_per_hat(levels):
         oracle = harmonic_stiffness(poly, levels)
         assert np.abs(oracle - reference).max() <= (
             1e-12 * np.abs(reference).max())
+
+
+def _from_triplets(sub):
+    """The sub-mesh matrix from its P1 triplets, built by from_triplets
+    with the module's p1_stiffness, as the oracle once built it."""
+    t = sub.triangles
+    return SparseSymMatrix.from_triplets(
+        len(sub.points), np.repeat(t, 3, axis=1), np.tile(t, (1, 3)),
+        harmonic_fem.p1_stiffness(sub.points[t]))
+
+
+def _nonzeros(A):
+    rows = np.repeat(np.arange(A.n), np.diff(A.indptr))
+    keep = A.data != 0
+    return rows[keep], A.indices[keep], A.data[keep]
+
+
+@pytest.mark.parametrize("levels", range(MAX_LEVELS + 1))
+def test_the_cached_plan_builds_the_from_triplets_matrix(levels):
+    # the same entries, with the exact zeros that from_triplets drops
+    # kept, and the same bits of A @ x
+    rng = np.random.default_rng(levels)
+    for poly in ORACLE_CELLS:
+        sub = subtriangulate(poly, levels)
+        A, B = harmonic_fem._submesh_stiffness(sub), _from_triplets(sub)
+        assert A.n == B.n
+        for got, want in zip(_nonzeros(A), _nonzeros(B)):
+            assert np.array_equal(got, want)
+        x = rng.standard_normal(A.n)
+        assert np.array_equal(A @ x, B @ x)
+
+
+@pytest.mark.parametrize("levels", range(MAX_LEVELS + 1))
+def test_a_subtriangulation_shares_nothing_it_may_write(levels):
+    for poly in ORACLE_CELLS[:6]:
+        first = subtriangulate(poly, levels)
+        want = (first.points.copy(), first.trace.copy())
+        first.points[:] = np.nan
+        first.trace[:] = np.nan
+        again = subtriangulate(poly, levels)
+        assert np.array_equal(again.points, want[0])
+        assert np.array_equal(again.trace, want[1])
+        plan = harmonic_fem._plan(len(poly), levels)
+        assert again.triangles is plan.triangles
+        for array in plan:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[-1]
+
+
+def test_the_plan_cache_is_bounded_and_the_oracle_survives_its_evictions():
+    # the plans of ten vertex counts fill the cache; then every oracle
+    # cell, up to 8 vertices at levels 0-4, stays at round-off of the
+    # reference, which solves each hat to 1e-13 where the oracle stops
+    # at 1e-8: the matrix's error is quadratic in the liftings' errors
+    for n in range(3, 13):
+        harmonic_fem._plan(n, MAX_LEVELS)
+    info = harmonic_fem._plan.cache_info()
+    assert info.currsize == info.maxsize == 8
+    for levels in range(5):
+        for poly in ORACLE_CELLS:
+            reference = _per_hat_harmonic_stiffness(poly, levels)
+            oracle = harmonic_stiffness(poly, levels)
+            assert np.abs(oracle - reference).max() <= (
+                1e-13 * np.abs(reference).max())
+
+
+def test_an_asymmetric_submesh_stiffness_raises_as_from_triplets_does(
+        monkeypatch):
+    # an entry's mirror made to differ by 1e-12 relative, past the 1e-14
+    # that from_triplets allows; both name the same residual
+    def skewed(triangles):
+        k = p1_stiffness(triangles)
+        k[..., 0, 1] *= 1.0 + 1e-12
+        return k
+
+    sub = subtriangulate(PENTAGON, 2)
+    monkeypatch.setattr(harmonic_fem, "p1_stiffness", skewed)
+    with pytest.raises(AsymmetricMatrix) as want:
+        _from_triplets(sub)
+    with pytest.raises(AsymmetricMatrix,
+                       match=f"^{re.escape(str(want.value))}$"):
+        harmonic_fem._submesh_stiffness(sub)
 
 
 @pytest.mark.parametrize("n", range(3, 9))

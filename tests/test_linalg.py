@@ -18,7 +18,7 @@ from polyvem.linalg import (
     dense_sym_eigen,
     generalized_eig_bounds,
 )
-from polyvem.harmonic_fem import _submesh_stiffness, subtriangulate
+from polyvem.harmonic_fem import p1_stiffness, subtriangulate
 from polyvem.mesh import FAMILIES, MeshFamilySpec, generate
 from polyvem.solver import PROBLEMS, apply_dirichlet, assemble
 
@@ -420,9 +420,14 @@ def _assembly(family):
 
 
 def _oracle_submesh(family):
+    # the oracle's sub-mesh triplets; the oracle sums them on a cached
+    # plan, so this build passes them to from_triplets itself
     mesh = generate(MeshFamilySpec(family, 4, seed=7))
-    poly = mesh.vertices[mesh.cells[mesh.n_cells // 2]]
-    return lambda: _submesh_stiffness(subtriangulate(poly, 4))
+    sub = subtriangulate(mesh.vertices[mesh.cells[mesh.n_cells // 2]], 4)
+    t = sub.triangles
+    return lambda: SparseSymMatrix.from_triplets(
+        len(sub.points), np.repeat(t, 3, axis=1), np.tile(t, (1, 3)),
+        p1_stiffness(sub.points[t]))
 
 
 @pytest.mark.parametrize("build", [_assembly, _oracle_submesh],
