@@ -189,22 +189,76 @@ def _submesh_stiffness(sub):
     return SparseSymMatrix(len(sub.points), plan.indptr, plan.indices, data)
 
 
+def _mean_value_coordinates(vertices, points):
+    """Yield the mean value coordinates of vertices 0..N-2 of a polygon at
+    points strictly inside it (Floater, CAGD 2003), one vertex at a time;
+    vertex N-1's is one minus their sum. Vertex i's is w_i / sum(w), with
+    w_i = (t_{i-1} + t_i) / r_i, r_i = |v_i - x| and t_i = tan(alpha_i / 2)
+    of the angle alpha_i that edge (v_i, v_{i+1}) subtends at x. They
+    reproduce 1, x and y, are well defined in any simple polygon, and on
+    a triangle are the barycentric coordinates. Only (P,) arrays are
+    formed, never a (P, N) one."""
+    x = points[:, 0] + 1j * points[:, 1]
+    corners = vertices[:, 0] + 1j * vertices[:, 1]
+
+    def edges():
+        # r_i, r_{i+1} and t_i of edges i = -1..N-2, with no trigonometry:
+        # as complex numbers, conj(d_i) d_{i+1} = dot_i + i cross_i for
+        # d_i = v_i - x, and tan(alpha_i / 2) = cross_i / (r_i r_{i+1} + dot_i)
+        da = corners[-1] - x
+        ra = np.abs(da)
+        for v in corners:
+            db = v - x
+            rb = np.abs(db)
+            q = da.conj() * db
+            t = q.imag / (ra * rb + q.real)
+            r, da, ra = ra, db, rb
+            yield r, ra, t
+
+    total = np.zeros(len(points))
+    for ra, rb, t in edges():
+        total += t * (1.0 / ra + 1.0 / rb)
+    pairs = edges()
+    _, _, before = next(pairs)
+    for r, _, t in pairs:
+        yield (before + t) / (r * total)
+        before = t
+
+
 def harmonic_stiffness(poly, levels=3):
     """(N, N) energy inner products of the P1 liftings of the boundary hats.
 
-    Hats 0..N-2 are lifted by one CG solve each. The last needs none:
-    the hats sum to one on the boundary (exactly, as the trace values
-    are dyadic), and the lifting of the constant 1 is 1, since A @ 1 = 0.
-    So the last lifting is one minus the others.
+    Hats 0..N-2 are lifted by at most one CG solve each, started from
+    their mean value coordinates: with b the right-hand side and
+    b' = b - A_II guess the guess's residual, CG solves for the
+    correction to the absolute test |r| <= 1e-8 |b|, the same as from
+    zero. Where |b'| already passes it, as on every triangle, there is no
+    solve; where |b'| >= |b|, CG starts from zero. The last hat needs no
+    solve: the hats sum to one on the boundary (exactly, as the trace
+    values are dyadic), and the lifting of the constant 1 is 1, since
+    A @ 1 = 0. So the last lifting is one minus the others.
     """
     sub = subtriangulate(poly, levels)
     A = _submesh_stiffness(sub)
     interior = np.flatnonzero(~sub.boundary)
     liftings = sub.trace
     reduced = A.restrict(interior)
-    for i, lifting in enumerate(liftings[:-1]):
+    # zip takes the N-1 guesses first, so their generator ends, and frees
+    # its arrays, with the loop
+    guesses = _mean_value_coordinates(sub.points[:len(liftings)],
+                                      sub.points[interior])
+    for i, (guess, lifting) in enumerate(zip(guesses, liftings)):
         rhs = -(A @ lifting)[interior]
-        result = cg_solve(reduced, rhs, tol=_LIFTING_TOL)
+        residual = rhs - reduced @ guess
+        nb, nr = np.linalg.norm(rhs), np.linalg.norm(residual)
+        if nr <= _LIFTING_TOL * nb:
+            lifting[interior] = guess
+            continue
+        if nr < nb:
+            result = cg_solve(reduced, residual, tol=_LIFTING_TOL * nb / nr)
+            result.x += guess
+        else:
+            result = cg_solve(reduced, rhs, tol=_LIFTING_TOL)
         if not result.converged:
             raise NoConvergence(
                 f"lifting of hat {i} stalled at relative residual "

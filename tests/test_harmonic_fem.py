@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from polyvem import harmonic_fem
 from polyvem.element import build_element
@@ -391,9 +392,16 @@ def test_an_asymmetric_submesh_stiffness_raises_as_from_triplets_does(
         harmonic_fem._submesh_stiffness(sub)
 
 
+def _regular_polygon(n):
+    angles = 2.0 * np.pi * np.arange(n) / n
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_the_oracle_solves_one_lifting_fewer_than_it_has_hats(
         monkeypatch, n):
+    # except on a triangle, which solves none: its mean value coordinates
+    # are the barycentric ones, and they are its exact liftings
     calls = []
 
     def counted(A, b, tol):
@@ -401,9 +409,159 @@ def test_the_oracle_solves_one_lifting_fewer_than_it_has_hats(
         return cg_solve(A, b, tol)
 
     monkeypatch.setattr(harmonic_fem, "cg_solve", counted)
-    angles = 2.0 * np.pi * np.arange(n) / n
-    harmonic_stiffness(np.column_stack([np.cos(angles), np.sin(angles)]), 2)
-    assert len(calls) == n - 1
+    harmonic_stiffness(_regular_polygon(n), 2)
+    assert len(calls) == (0 if n == 3 else n - 1)
+
+
+def _interior_guesses(poly, levels):
+    """The sub-mesh of poly, its interior nodes, and the oracle's N-1
+    mean value coordinate guesses there as an (N-1, I) array."""
+    sub = subtriangulate(poly, levels)
+    interior = np.flatnonzero(~sub.boundary)
+    guesses = np.array(list(harmonic_fem._mean_value_coordinates(
+        sub.points[:len(poly)], sub.points[interior])))
+    return sub, interior, guesses
+
+
+def _mean_value_coordinates_by_angles(vertices, points):
+    """(N, P) mean value coordinates from the subtended angles themselves,
+    w_i = (tan(alpha_{i-1} / 2) + tan(alpha_i / 2)) / r_i."""
+    d = vertices[:, None, :] - points[None, :, :]
+    r = np.hypot(d[..., 0], d[..., 1])
+    after = np.roll(d, -1, axis=0)
+    alpha = np.arctan2(d[..., 0] * after[..., 1] - d[..., 1] * after[..., 0],
+                       (d * after).sum(axis=-1))
+    t = np.tan(alpha / 2.0)
+    w = (np.roll(t, 1, axis=0) + t) / r
+    return w / w.sum(axis=0)
+
+
+@pytest.mark.parametrize("levels", range(5))
+def test_the_lifting_guesses_are_mean_value_coordinates(levels):
+    # with the last one as one minus the others, they reproduce 1, x and
+    # y at every interior node, and they match the coordinates computed
+    # from the angles
+    for poly in ORACLE_CELLS:
+        sub, interior, guesses = _interior_guesses(poly, levels)
+        points = sub.points[interior]
+        full = np.vstack([guesses, 1.0 - guesses.sum(axis=0)])
+        scale = np.abs(poly).max()
+        assert np.abs(full.T @ poly - points).max() <= 1e-13 * scale
+        reference = _mean_value_coordinates_by_angles(poly, points)
+        assert np.abs(full - reference).max() <= 1e-13
+        assert np.abs(reference.sum(axis=0) - 1.0).max() <= 1e-13
+
+
+# a cell of the hexagon family at n=4; at level 0, vertex 2 and the
+# centroid share no entry of the sub-mesh matrix, as both angles opposite
+# their spoke are right angles, so hat 2's right-hand side is exactly 0
+APEX_HEXAGON = np.array([[0.25, 0.25], [0.25, 0.5], [0.125, 0.625],
+                         [0.0, 0.5], [0.0, 0.25], [0.125, 0.125]])
+
+
+def test_a_hat_with_a_zero_right_hand_side_gets_the_zero_lifting(monkeypatch):
+    # its guess is not zero and leaves a residual, so CG starts from zero
+    # and returns zero at once
+    subs, calls = [], []
+
+    def kept(poly, levels):
+        subs.append(subtriangulate(poly, levels))
+        return subs[-1]
+
+    def recorded(A, b, tol):
+        calls.append((b.copy(), tol))
+        return cg_solve(A, b, tol)
+
+    monkeypatch.setattr(harmonic_fem, "subtriangulate", kept)
+    monkeypatch.setattr(harmonic_fem, "cg_solve", recorded)
+    oracle = harmonic_stiffness(APEX_HEXAGON, 0)
+    _, interior, guesses = _interior_guesses(APEX_HEXAGON, 0)
+    assert guesses[2, 0] > 0.0
+    zero = [tol for b, tol in calls if not b.any()]
+    assert zero == [harmonic_fem._LIFTING_TOL]
+    liftings = subs[0].trace
+    assert np.array_equal(liftings[2, interior], np.zeros(1))
+    reference = _per_hat_harmonic_stiffness(APEX_HEXAGON, 0)
+    assert np.abs(oracle - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("levels", [2, 4])
+def test_each_correction_stops_where_a_solve_from_zero_would(
+        monkeypatch, levels):
+    # CG gets b' = b - A_II guess, and the tolerance tol |b| / |b'|, so
+    # its test |r| <= tol |b'| is today's |r| <= tol |b|
+    calls = []
+
+    def recorded(A, b, tol):
+        calls.append((b.copy(), tol))
+        return cg_solve(A, b, tol)
+
+    monkeypatch.setattr(harmonic_fem, "cg_solve", recorded)
+    for poly in ORACLE_CELLS[:5]:
+        calls.clear()
+        harmonic_stiffness(poly, levels)
+        sub, interior, guesses = _interior_guesses(poly, levels)
+        A = harmonic_fem._submesh_stiffness(sub)
+        reduced = A.restrict(interior)
+        assert len(calls) == (0 if len(poly) == 3 else len(poly) - 1)
+        for (b, tol), trace, guess in zip(calls, sub.trace, guesses):
+            rhs = -(A @ trace)[interior]
+            assert np.array_equal(b, rhs - reduced @ guess)
+            assert np.linalg.norm(b) < np.linalg.norm(rhs)
+            assert tol * np.linalg.norm(b) == pytest.approx(
+                harmonic_fem._LIFTING_TOL * np.linalg.norm(rhs), rel=1e-15)
+
+
+def test_the_oracle_cg_iterations_over_the_five_families(monkeypatch):
+    # every cell of the five families at n=4, seed 7, level 4: 25,675
+    # iterations from zero, 12,380 from the mean value coordinates
+    iterations = []
+
+    def counted(A, b, tol):
+        result = cg_solve(A, b, tol)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(harmonic_fem, "cg_solve", counted)
+    for family in FAMILIES:
+        mesh = generate(MeshFamilySpec(family, 4, seed=7))
+        for ci in range(mesh.n_cells):
+            harmonic_stiffness(mesh.cell_vertices(ci), 4)
+    assert sum(iterations) <= 13_000
+
+
+def test_the_oracle_peak_memory_on_a_16_gon_at_level_5():
+    # the peak is the sub-mesh matrix's build, 5.2 MiB; the guesses add
+    # (P,) arrays only, where (N, P) stacks of them would pass 6 MiB
+    poly = _regular_polygon(16)
+    harmonic_fem._plan(16, 5)
+    assert traced_peak(lambda: harmonic_stiffness(poly, 5)) <= 6 * 2 ** 20
+
+
+def _cut_square(eps):
+    return np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0 - eps],
+                     [1.0 - eps, 1.0], [0.0, 1.0]])
+
+
+ILL_SHAPED = {
+    **{f"cut-corner-{eps:g}": _cut_square(eps)
+       for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)},
+    "L-hexagon": np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0],
+                           [1.0, 2.0], [0.0, 2.0]]),
+    "side-in-16": np.array([[k / 16, 0.0] for k in range(17)]
+                           + [[1.0, 1.0], [0.0, 1.0]]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ILL_SHAPED)
+def test_ill_shaped_cells_match_one_solve_per_hat(name):
+    # tiny edges, a reflex corner and 16 collinear vertices: the guesses
+    # raise no numpy warning, and the matrix stays at round-off
+    poly = ILL_SHAPED[name]
+    reference = _per_hat_harmonic_stiffness(poly, 4)
+    oracle = harmonic_stiffness(poly, 4)
+    assert np.abs(oracle - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_stability_triangle():
