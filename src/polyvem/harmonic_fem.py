@@ -3,12 +3,13 @@
 The element module never constructs its shape functions; it only uses
 their projections.  This module builds the functions the element is
 implicitly working with: for each polygon vertex the piecewise-linear
-boundary hat is lifted harmonically into the cell by a P1 finite
-element solve on a refined sub-triangulation.  The energy inner
-products of those liftings form a reference stiffness matrix that the
-polygonal element can be measured against, both for consistency (the
-two matrices act identically on linear data) and for stability
-(generalized eigenvalue bounds).
+boundary hat is lifted harmonically into the cell, in P1 finite
+elements on a refined sub-triangulation.  An N-gon takes N-3 solves:
+the liftings of 1, x and y are exact, and fix the other three.  The
+energy inner products of those liftings form a reference stiffness
+matrix that the polygonal element can be measured against, both for
+consistency (the two matrices act identically on linear data) and for
+stability (generalized eigenvalue bounds).
 
 On a triangle the lifting is exact and the reference matrix collapses
 to the classical P1 stiffness.  p1_stiffness computes it for a whole
@@ -21,6 +22,7 @@ machinery only.
 """
 
 import functools
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -189,15 +191,17 @@ def _submesh_stiffness(sub):
     return SparseSymMatrix(len(sub.points), plan.indptr, plan.indices, data)
 
 
-def _mean_value_coordinates(vertices, points):
-    """Yield the mean value coordinates of vertices 0..N-2 of a polygon at
-    points strictly inside it (Floater, CAGD 2003), one vertex at a time;
-    vertex N-1's is one minus their sum. Vertex i's is w_i / sum(w), with
+def _mean_value_coordinates(vertices, points, hats):
+    """Yield the mean value coordinates of the vertices `hats`, an
+    ascending list, of a polygon at points strictly inside it (Floater,
+    CAGD 2003), one vertex at a time. Vertex i's is w_i / sum(w), with
     w_i = (t_{i-1} + t_i) / r_i, r_i = |v_i - x| and t_i = tan(alpha_i / 2)
     of the angle alpha_i that edge (v_i, v_{i+1}) subtends at x. They
     reproduce 1, x and y, are well defined in any simple polygon, and on
     a triangle are the barycentric coordinates. Only (P,) arrays are
-    formed, never a (P, N) one."""
+    formed, never a (P, N) one, and none where `hats` is empty."""
+    if not hats:
+        return
     x = points[:, 0] + 1j * points[:, 1]
     corners = vertices[:, 0] + 1j * vertices[:, 1]
 
@@ -219,52 +223,94 @@ def _mean_value_coordinates(vertices, points):
     for ra, rb, t in edges():
         total += t * (1.0 / ra + 1.0 / rb)
     pairs = edges()
-    _, _, before = next(pairs)
-    for r, _, t in pairs:
-        yield (before + t) / (r * total)
+    # edge -1 is edge N-1: it ends the cycle at vertex N-1
+    last = next(pairs)
+    before = last[2]
+    for i, (r, _, t) in enumerate(itertools.chain(pairs, [last])):
+        if i in hats:
+            yield (before + t) / (r * total)
         before = t
+
+
+def _fixed_hats(local):
+    """Three vertices of a polygon that span a well-shaped triangle, from
+    its (N, 2) vertices in coordinates local to the cell: a is the
+    farthest from the origin, b the farthest from a, and c the farthest
+    from the line ab, each the lowest index on a tie. Unless all
+    vertices are collinear, c is off the line, so collinear runs, as at
+    a hanging node, still give a triangle of positive area."""
+    a = int(np.argmax((local * local).sum(axis=1)))
+    d = local - local[a]
+    b = int(np.argmax((d * d).sum(axis=1)))
+    c = int(np.argmax(np.abs(d[b, 0] * d[:, 1] - d[b, 1] * d[:, 0])))
+    return [a, b, c]
+
+
+def _lift(reduced, rhs, guess, hat):
+    """The interior values of one hat's lifting, A_II u = b for b = rhs,
+    by at most one CG solve started from its mean value coordinates.
+    With b' = b - A_II guess the guess's residual, CG solves for the
+    correction to the absolute test |r| <= 1e-8 |b|, the same as from
+    zero. Where |b'| already passes it there is no solve; where
+    |b'| >= |b|, CG starts from zero. NoConvergence names the residual
+    relative to |b| in both cases."""
+    residual = rhs - reduced @ guess
+    nb, nr = np.linalg.norm(rhs), np.linalg.norm(residual)
+    if nr <= _LIFTING_TOL * nb:
+        return guess
+    if nr < nb:
+        result = cg_solve(reduced, residual, tol=_LIFTING_TOL * nb / nr)
+        result.x += guess
+        scale = nr / nb
+    else:
+        result = cg_solve(reduced, rhs, tol=_LIFTING_TOL)
+        scale = 1.0
+    if not result.converged:
+        raise NoConvergence(
+            f"lifting of hat {hat} stalled at relative residual "
+            f"{result.residual * scale:.3e}")
+    return result.x
 
 
 def harmonic_stiffness(poly, levels=3):
     """(N, N) energy inner products of the P1 liftings of the boundary hats.
 
-    Hats 0..N-2 are lifted by at most one CG solve each, started from
-    their mean value coordinates: with b the right-hand side and
-    b' = b - A_II guess the guess's residual, CG solves for the
-    correction to the absolute test |r| <= 1e-8 |b|, the same as from
-    zero. Where |b'| already passes it, as on every triangle, there is no
-    solve; where |b'| >= |b|, CG starts from zero. The last hat needs no
-    solve: the hats sum to one on the boundary (exactly, as the trace
-    values are dyadic), and the lifting of the constant 1 is 1, since
-    A @ 1 = 0. So the last lifting is one minus the others.
+    Only N-3 hats are lifted by CG, each by _lift. The sub-mesh
+    reproduces linear functions and the hats sum to one on the boundary
+    (exactly, as the trace values are dyadic), so the liftings of the
+    boundary traces of 1, x and y are 1, x and y. Three hats (a, b, c),
+    chosen by _fixed_hats in coordinates local to the cell, take their
+    interior values from these identities: with s the solved hats, they
+    are C^-1 [1 - sum phi_s; x - sum x_s phi_s; y - sum y_s phi_s], for
+    C = [1; x; y] at (a, b, c). Their errors are interior perturbations,
+    as the solved liftings' are, so the matrix stays at round-off. A
+    triangle needs no solve and no mean value coordinates: its liftings
+    are its barycentric coordinates.
     """
     sub = subtriangulate(poly, levels)
     A = _submesh_stiffness(sub)
     interior = np.flatnonzero(~sub.boundary)
     liftings = sub.trace
+    n = len(liftings)
+    # 1, x and y at the sub-mesh nodes, x and y centred on the centroid,
+    # so C does not depend on where the cell lies
+    linear = np.ones((len(sub.points), 3))
+    linear[:, 1:] = sub.points - sub.points[n]
+    fixed = _fixed_hats(linear[:n, 1:])
+    solved = [i for i in range(n) if i not in fixed]
     reduced = A.restrict(interior)
-    # zip takes the N-1 guesses first, so their generator ends, and frees
+    # the sums of 1, x and y times the solved liftings, at the interior
+    sums = np.zeros((3, len(interior)))
+    # zip takes the guesses first, so their generator ends, and frees
     # its arrays, with the loop
-    guesses = _mean_value_coordinates(sub.points[:len(liftings)],
-                                      sub.points[interior])
-    for i, (guess, lifting) in enumerate(zip(guesses, liftings)):
-        rhs = -(A @ lifting)[interior]
-        residual = rhs - reduced @ guess
-        nb, nr = np.linalg.norm(rhs), np.linalg.norm(residual)
-        if nr <= _LIFTING_TOL * nb:
-            lifting[interior] = guess
-            continue
-        if nr < nb:
-            result = cg_solve(reduced, residual, tol=_LIFTING_TOL * nb / nr)
-            result.x += guess
-        else:
-            result = cg_solve(reduced, rhs, tol=_LIFTING_TOL)
-        if not result.converged:
-            raise NoConvergence(
-                f"lifting of hat {i} stalled at relative residual "
-                f"{result.residual:.3e}")
-        lifting[interior] = result.x
-    liftings[-1, interior] = 1.0 - liftings[:-1, interior].sum(axis=0)
+    guesses = _mean_value_coordinates(sub.points[:n], sub.points[interior],
+                                      solved)
+    for guess, i in zip(guesses, solved):
+        values = _lift(reduced, -(A @ liftings[i])[interior], guess, i)
+        liftings[i, interior] = values
+        sums += linear[i][:, None] * values
+    liftings[np.ix_(fixed, interior)] = np.linalg.solve(
+        linear[fixed].T, linear[interior].T - sums)
     products = np.array([A @ lifting for lifting in liftings])
     matrix = liftings @ products.T
     return (matrix + matrix.T) / 2.0

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -240,11 +241,36 @@ def test_oracle_cauchy_in_levels():
 
 
 def test_a_lifting_that_does_not_converge_raises(monkeypatch):
-    # every hat's CG reports a stall; the first hat's names it
+    # every hat's CG reports a stall; the first solved hat's names it. On
+    # the square that is hat 3: 0, 2 and 1 are fixed. Its CG solves for
+    # the correction, so the residual it reports, relative to |b'|, is
+    # named relative to the hat's |b|
+    sub, interior, guesses = _interior_guesses(SQUARE, 2)
+    A = harmonic_fem._submesh_stiffness(sub)
+    rhs = -(A @ sub.trace[3])[interior]
+    residual = rhs - A.restrict(interior) @ guesses[3]
+    ratio = np.linalg.norm(residual) / np.linalg.norm(rhs)
+    assert 0.0 < ratio < 1.0
     monkeypatch.setattr(
         harmonic_fem, "cg_solve",
         lambda A, b, tol: CGResult(np.zeros(A.n), 7, 0.5, False))
-    with pytest.raises(NoConvergence, match=r"^lifting of hat 0 stalled at "
+    with pytest.raises(NoConvergence, match=(
+            "^lifting of hat 3 stalled at relative residual "
+            f"{0.5 * ratio:.3e}$")):
+        harmonic_stiffness(SQUARE, 2)
+
+
+def test_a_lifting_solved_from_zero_names_its_own_residual(monkeypatch):
+    # where the guess is no better than zero, CG solves for the lifting
+    # itself, and its figure is already relative to |b|
+    monkeypatch.setattr(
+        harmonic_fem, "_mean_value_coordinates",
+        lambda vertices, points, hats: (np.zeros(len(points))
+                                        for _ in hats))
+    monkeypatch.setattr(
+        harmonic_fem, "cg_solve",
+        lambda A, b, tol: CGResult(np.zeros(A.n), 7, 0.5, False))
+    with pytest.raises(NoConvergence, match=r"^lifting of hat 3 stalled at "
                                             r"relative residual 5\.000e-01$"):
         harmonic_stiffness(SQUARE, 2)
 
@@ -300,9 +326,24 @@ ORACLE_CELLS = ([_largest_cell(f) for f in FAMILIES]
                 + _random_star_polygons(np.random.default_rng(25), 20))
 
 
+def _cut_square(eps):
+    return np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0 - eps],
+                     [1.0 - eps, 1.0], [0.0, 1.0]])
+
+
+ILL_SHAPED = {
+    **{f"cut-corner-{eps:g}": _cut_square(eps)
+       for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)},
+    "L-hexagon": np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0],
+                           [1.0, 2.0], [0.0, 2.0]]),
+    "side-in-16": np.array([[k / 16, 0.0] for k in range(17)]
+                           + [[1.0, 1.0], [0.0, 1.0]]),
+}
+
+
 @pytest.mark.parametrize("levels", range(5))
 def test_oracle_matches_one_solve_per_hat(levels):
-    # the last lifting is one minus the others, not a solve of its own
+    # three liftings come from 1, x and y, not from solves of their own
     for poly in ORACLE_CELLS:
         reference = _per_hat_harmonic_stiffness(poly, levels)
         oracle = harmonic_stiffness(poly, levels)
@@ -397,30 +438,105 @@ def _regular_polygon(n):
     return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
-@pytest.mark.parametrize("n", range(3, 9))
+SOLVE_COUNT_CELLS = {
+    **{n: _regular_polygon(n) for n in range(3, 9)},
+    "hanging_node": ORACLE_CELLS[4],
+    "side-in-16": ILL_SHAPED["side-in-16"],
+}
+
+
+@pytest.mark.parametrize("n", SOLVE_COUNT_CELLS)
 def test_the_oracle_solves_one_lifting_fewer_than_it_has_hats(
         monkeypatch, n):
-    # except on a triangle, which solves none: its mean value coordinates
-    # are the barycentric ones, and they are its exact liftings
+    # named for the rule it replaced, the last lifting as one minus the
+    # others: now N - 3 hats are solved, and 1, x and y give the other
+    # three, so a triangle solves none. Collinear runs (a hanging node,
+    # a side in 16 pieces) still leave three hats that span a triangle
     calls = []
 
     def counted(A, b, tol):
         calls.append(len(b))
         return cg_solve(A, b, tol)
 
+    poly = SOLVE_COUNT_CELLS[n]
     monkeypatch.setattr(harmonic_fem, "cg_solve", counted)
-    harmonic_stiffness(_regular_polygon(n), 2)
-    assert len(calls) == (0 if n == 3 else n - 1)
+    harmonic_stiffness(poly, 2)
+    assert len(calls) == max(len(poly) - 3, 0)
+
+
+def _doubled_areas(local, triples):
+    p, q, r = (local[list(t)].T for t in zip(*triples))
+    return np.abs((q[0] - p[0]) * (r[1] - p[1])
+                  - (q[1] - p[1]) * (r[0] - p[0]))
+
+
+def test_the_fixed_hats_span_a_well_shaped_triangle():
+    # at least half the area of the largest triangle on three vertices,
+    # also with collinear runs; ties go to the lowest index
+    for poly in ORACLE_CELLS + list(ILL_SHAPED.values()):
+        local = poly - poly.mean(axis=0)
+        largest = _doubled_areas(
+            local, itertools.combinations(range(len(poly)), 3)).max()
+        fixed = _doubled_areas(local, [harmonic_fem._fixed_hats(local)])
+        assert fixed[0] >= 0.5 * largest
+    assert harmonic_fem._fixed_hats(SQUARE - 0.5) == [0, 2, 1]
+
+
+def _liftings(monkeypatch, poly, levels):
+    """harmonic_stiffness(poly, levels), with its sub-mesh, whose trace
+    holds the liftings on return."""
+    subs = []
+
+    def kept(poly, levels):
+        subs.append(subtriangulate(poly, levels))
+        return subs[-1]
+
+    monkeypatch.setattr(harmonic_fem, "subtriangulate", kept)
+    return harmonic_stiffness(poly, levels), subs[-1]
+
+
+@pytest.mark.parametrize("levels", range(5))
+def test_the_liftings_reproduce_1_x_and_y(monkeypatch, levels):
+    # the fixed liftings make every interior node's sums exact, to
+    # round-off of the cell's size, however far the solved liftings are
+    # from their limits, and however far the cell is from the origin
+    cells = ORACLE_CELLS + list(ILL_SHAPED.values())
+    for poly in cells + [poly + 1e4 for poly in cells]:
+        _, sub = _liftings(monkeypatch, poly, levels)
+        interior = np.flatnonzero(~sub.boundary)
+        centroid = sub.points[len(poly)]
+        local = poly - centroid
+        values = sub.trace[:, interior]
+        scale = np.abs(local).max()
+        assert np.abs(values.sum(axis=0) - 1.0).max() <= 1e-13
+        assert np.abs(values.T @ local - (sub.points[interior] - centroid)
+                      ).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("levels", [2, 4])
+def test_the_oracle_does_not_depend_on_where_the_cell_lies(levels):
+    for poly in ORACLE_CELLS[:5]:
+        near = harmonic_stiffness(poly, levels)
+        far = harmonic_stiffness(poly + 1e4, levels)
+        assert np.abs(far - near).max() <= 1e-10 * np.abs(near).max()
 
 
 def _interior_guesses(poly, levels):
-    """The sub-mesh of poly, its interior nodes, and the oracle's N-1
-    mean value coordinate guesses there as an (N-1, I) array."""
+    """The sub-mesh of poly, its interior nodes, and the mean value
+    coordinates of its N vertices there as an (N, I) array."""
     sub = subtriangulate(poly, levels)
     interior = np.flatnonzero(~sub.boundary)
     guesses = np.array(list(harmonic_fem._mean_value_coordinates(
-        sub.points[:len(poly)], sub.points[interior])))
+        sub.points[:len(poly)], sub.points[interior], range(len(poly)))))
     return sub, interior, guesses
+
+
+def _solved_hats(poly):
+    """The hats that harmonic_stiffness lifts by CG, in its order."""
+    sub = subtriangulate(poly, 0)
+    fixed = harmonic_fem._fixed_hats(sub.points[:len(poly)]
+                                     - sub.points[len(poly)])
+    return [i for i in range(len(poly)) if i not in fixed]
 
 
 def _mean_value_coordinates_by_angles(vertices, points):
@@ -438,58 +554,65 @@ def _mean_value_coordinates_by_angles(vertices, points):
 
 @pytest.mark.parametrize("levels", range(5))
 def test_the_lifting_guesses_are_mean_value_coordinates(levels):
-    # with the last one as one minus the others, they reproduce 1, x and
-    # y at every interior node, and they match the coordinates computed
-    # from the angles
+    # they reproduce 1, x and y at every interior node, and they match
+    # the coordinates computed from the angles; a subset of the vertices
+    # gets the same arrays, and none gets none
     for poly in ORACLE_CELLS:
-        sub, interior, guesses = _interior_guesses(poly, levels)
+        sub, interior, full = _interior_guesses(poly, levels)
         points = sub.points[interior]
-        full = np.vstack([guesses, 1.0 - guesses.sum(axis=0)])
         scale = np.abs(poly).max()
+        assert np.abs(full.sum(axis=0) - 1.0).max() <= 1e-13
         assert np.abs(full.T @ poly - points).max() <= 1e-13 * scale
         reference = _mean_value_coordinates_by_angles(poly, points)
         assert np.abs(full - reference).max() <= 1e-13
         assert np.abs(reference.sum(axis=0) - 1.0).max() <= 1e-13
+        hats = _solved_hats(poly)
+        some = list(harmonic_fem._mean_value_coordinates(
+            sub.points[:len(poly)], points, hats))
+        assert len(some) == len(hats)
+        for i, guess in zip(hats, some):
+            assert np.array_equal(guess, full[i])
+    assert not list(harmonic_fem._mean_value_coordinates(
+        sub.points[:len(poly)], points, []))
 
 
-# a cell of the hexagon family at n=4; at level 0, vertex 2 and the
-# centroid share no entry of the sub-mesh matrix, as both angles opposite
-# their spoke are right angles, so hat 2's right-hand side is exactly 0
-APEX_HEXAGON = np.array([[0.25, 0.25], [0.25, 0.5], [0.125, 0.625],
-                         [0.0, 0.5], [0.0, 0.25], [0.125, 0.125]])
+# a diamond with a cap at either end, centred on the origin. At level
+# 0, vertex 4 and the centroid share no entry of the sub-mesh matrix, as
+# both angles opposite their spoke are right angles, so hat 4's
+# right-hand side is exactly 0. The far corners 2 and 6 and the cap 0
+# are the fixed hats, so hat 4 is solved. (On a hexagon family cell both
+# caps are the farthest vertices, and both are fixed.)
+APEX_OCTAGON = np.array([[0.0, -1.0], [0.5, -0.5], [2.0, 0.0], [0.5, 0.5],
+                         [0.0, 1.0], [-0.5, 0.5], [-2.0, 0.0], [-0.5, -0.5]])
 
 
 def test_a_hat_with_a_zero_right_hand_side_gets_the_zero_lifting(monkeypatch):
     # its guess is not zero and leaves a residual, so CG starts from zero
     # and returns zero at once
-    subs, calls = [], []
-
-    def kept(poly, levels):
-        subs.append(subtriangulate(poly, levels))
-        return subs[-1]
+    calls = []
 
     def recorded(A, b, tol):
         calls.append((b.copy(), tol))
         return cg_solve(A, b, tol)
 
-    monkeypatch.setattr(harmonic_fem, "subtriangulate", kept)
     monkeypatch.setattr(harmonic_fem, "cg_solve", recorded)
-    oracle = harmonic_stiffness(APEX_HEXAGON, 0)
-    _, interior, guesses = _interior_guesses(APEX_HEXAGON, 0)
-    assert guesses[2, 0] > 0.0
+    assert 4 in _solved_hats(APEX_OCTAGON)
+    oracle, sub = _liftings(monkeypatch, APEX_OCTAGON, 0)
+    _, interior, guesses = _interior_guesses(APEX_OCTAGON, 0)
+    assert guesses[4, 0] > 0.0
     zero = [tol for b, tol in calls if not b.any()]
     assert zero == [harmonic_fem._LIFTING_TOL]
-    liftings = subs[0].trace
-    assert np.array_equal(liftings[2, interior], np.zeros(1))
-    reference = _per_hat_harmonic_stiffness(APEX_HEXAGON, 0)
+    assert np.array_equal(sub.trace[4, interior], np.zeros(1))
+    reference = _per_hat_harmonic_stiffness(APEX_OCTAGON, 0)
     assert np.abs(oracle - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 @pytest.mark.parametrize("levels", [2, 4])
 def test_each_correction_stops_where_a_solve_from_zero_would(
         monkeypatch, levels):
-    # CG gets b' = b - A_II guess, and the tolerance tol |b| / |b'|, so
-    # its test |r| <= tol |b'| is today's |r| <= tol |b|
+    # CG gets b' = b - A_II guess of each solved hat in turn, and the
+    # tolerance tol |b| / |b'|, so its test |r| <= tol |b'| is the
+    # |r| <= tol |b| of a solve from zero
     calls = []
 
     def recorded(A, b, tol):
@@ -503,10 +626,11 @@ def test_each_correction_stops_where_a_solve_from_zero_would(
         sub, interior, guesses = _interior_guesses(poly, levels)
         A = harmonic_fem._submesh_stiffness(sub)
         reduced = A.restrict(interior)
-        assert len(calls) == (0 if len(poly) == 3 else len(poly) - 1)
-        for (b, tol), trace, guess in zip(calls, sub.trace, guesses):
-            rhs = -(A @ trace)[interior]
-            assert np.array_equal(b, rhs - reduced @ guess)
+        hats = _solved_hats(poly)
+        assert len(calls) == len(hats) == max(len(poly) - 3, 0)
+        for (b, tol), i in zip(calls, hats):
+            rhs = -(A @ sub.trace[i])[interior]
+            assert np.array_equal(b, rhs - reduced @ guesses[i])
             assert np.linalg.norm(b) < np.linalg.norm(rhs)
             assert tol * np.linalg.norm(b) == pytest.approx(
                 harmonic_fem._LIFTING_TOL * np.linalg.norm(rhs), rel=1e-15)
@@ -514,7 +638,8 @@ def test_each_correction_stops_where_a_solve_from_zero_would(
 
 def test_the_oracle_cg_iterations_over_the_five_families(monkeypatch):
     # every cell of the five families at n=4, seed 7, level 4: 25,675
-    # iterations from zero, 12,380 from the mean value coordinates
+    # iterations for N - 1 solves from zero, 12,380 for N - 1 solves from
+    # the mean value coordinates, 5,254 for N - 3 of them
     iterations = []
 
     def counted(A, b, tol):
@@ -527,7 +652,7 @@ def test_the_oracle_cg_iterations_over_the_five_families(monkeypatch):
         mesh = generate(MeshFamilySpec(family, 4, seed=7))
         for ci in range(mesh.n_cells):
             harmonic_stiffness(mesh.cell_vertices(ci), 4)
-    assert sum(iterations) <= 13_000
+    assert sum(iterations) <= 5_500
 
 
 def test_the_oracle_peak_memory_on_a_16_gon_at_level_5():
@@ -536,21 +661,6 @@ def test_the_oracle_peak_memory_on_a_16_gon_at_level_5():
     poly = _regular_polygon(16)
     harmonic_fem._plan(16, 5)
     assert traced_peak(lambda: harmonic_stiffness(poly, 5)) <= 6 * 2 ** 20
-
-
-def _cut_square(eps):
-    return np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0 - eps],
-                     [1.0 - eps, 1.0], [0.0, 1.0]])
-
-
-ILL_SHAPED = {
-    **{f"cut-corner-{eps:g}": _cut_square(eps)
-       for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)},
-    "L-hexagon": np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0],
-                           [1.0, 2.0], [0.0, 2.0]]),
-    "side-in-16": np.array([[k / 16, 0.0] for k in range(17)]
-                           + [[1.0, 1.0], [0.0, 1.0]]),
-}
 
 
 @pytest.mark.filterwarnings("error")
