@@ -13,9 +13,9 @@ stability (generalized eigenvalue bounds).
 
 On a triangle the lifting is exact and the reference matrix collapses
 to the classical P1 stiffness.  p1_stiffness computes it for a whole
-stack of triangles in one vectorized pass; the sub-triangulation uses
-it, and so does the global P1 solve on triangular meshes, which is the
-production solve with p1_stiffness as its local stiffness.
+stack of triangles in one vectorized pass. The sub-mesh matrix gathers
+it from the N fan triangles, to which every sub-triangle is similar, and
+the global P1 solve is the production solve with it as local stiffness.
 
 None of this feeds the production VEM solve; it is verification
 machinery only.
@@ -29,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .element import StabilityConstants
-from .errors import AsymmetricMatrix, DegenerateTriangle, NoConvergence
+from .errors import DegenerateTriangle, NoConvergence
 from .geometry import _one_cell
-from .linalg import SparseSymMatrix, cg_solve, generalized_eig_bounds
+from .linalg import (SparseSymMatrix, _check_symmetric, cg_solve,
+                     generalized_eig_bounds)
 from .solver import solve
 
 MAX_LEVELS = 5
@@ -66,11 +67,11 @@ class SubTriangulation:
 # What the sub-mesh of an n-gon at a level shares with every other: the
 # lattice numbering (own, a, b) of subtriangulate, its triangles, trace
 # and boundary, and the sub-mesh matrix's CSR pattern (indptr, indices).
-# The entry of run k sums the triplets order[runs[k]:runs[k + 1]] of
-# p1_stiffness(points[triangles]).ravel(), in from_triplets' order, and
+# The entry of run k sums kernel[runs[k]:runs[k + 1]] of the fan triangles'
+# p1_stiffness, flattened (n, 3, 3), in from_triplets' order, and
 # mirror[k] is the entry at its transposed position. All are read-only.
 _Plan = namedtuple("_Plan", "own a b triangles trace boundary indptr "
-                   "indices order runs mirror")
+                   "indices kernel runs mirror")
 
 
 @functools.lru_cache(maxsize=8)
@@ -98,6 +99,9 @@ def _plan(n, levels):
     ta = np.r_[np.c_[a, a - 1, a - 1], np.c_[a, a - 1, a][m:]]
     tb = np.r_[np.c_[b, b + 1, b], np.c_[b + 1, b + 1, b][m:]]
     triangles = lattice[:, ta, tb].reshape(-1, 3)
+    # a sub-triangle is its fan triangle (v_i, v_{i+1}, c) scaled by 1/m,
+    # upward, or by -1/m as (c, v_i, v_{i+1}), so it has the same kernel
+    corners = np.array([[0, 1, 2]] * len(a) + [[2, 0, 1]] * (len(a) - m))
     trace = np.zeros((n, size))
     trace[np.arange(n)[:, None], own[:, :m]] = a[:m] / m
     trace[nxt[:, None], own[:, :m]] = b[:m] / m
@@ -106,8 +110,10 @@ def _plan(n, levels):
     order = np.argsort(keys, kind="stable")
     entries, runs = np.unique(keys[order], return_index=True)
     rows, indices = np.divmod(entries, size)
+    kernel = (9 * np.arange(n)[:, None, None, None] + 3 * corners[:, :, None]
+              + corners[:, None, :]).ravel()[order]
     plan = _Plan(own, a, b, triangles, trace, trace.any(axis=0),
-                 np.searchsorted(rows, np.arange(size + 1)), indices, order,
+                 np.searchsorted(rows, np.arange(size + 1)), indices, kernel,
                  runs, np.searchsorted(entries, indices * size + rows))
     for array in plan:
         array.flags.writeable = False
@@ -169,25 +175,17 @@ def p1_stiffness(triangles):
 
 def _submesh_stiffness(sub):
     """from_triplets of the P1 stiffness triplets of a subtriangulate
-    result, on its cached plan; an n-gon at a level has n 4**level
-    triangles. Entries that sum to exactly 0, as on the right angles of a
-    quad's sub-mesh, stay in the pattern where from_triplets drops them:
-    a finite x gives each product 0 * x[j] = +-0, and a row sum that
-    starts at +0 is never -0, so adding it leaves A @ x bit for bit."""
+    result, gathered by its cached plan from the n fan triangles' kernels,
+    the only ones p1_stiffness computes. Entries that sum to exactly 0, as
+    on the right angles of a quad's sub-mesh, stay in the pattern where
+    from_triplets drops them: a finite x gives each product 0 * x[j] =
+    +-0, and a row sum that starts at +0 is never -0, so adding it leaves
+    A @ x bit for bit."""
     n = len(sub.trace)
     plan = _plan(n, (len(sub.triangles) // n).bit_length() // 2)
-    values = p1_stiffness(sub.points[sub.triangles]).ravel()
-    data = np.add.reduceat(values[plan.order], plan.runs)
-    # the symmetry check of from_triplets, with its text. The residual
-    # is antisymmetric, so its first worst entry in (row, col) order is
-    # the one above the diagonal that from_triplets names
-    resid = data - data[plan.mirror]
-    worst = resid[np.abs(resid).argmax()]
-    vmax = float(np.abs(data).max())
-    if abs(worst) > 1e-14 * vmax:
-        raise AsymmetricMatrix(
-            f"triplets are not symmetric (residual {worst:.3e} "
-            f"against max entry {vmax:.3e})")
+    fan = sub.points[np.c_[np.arange(n), np.r_[1:n, 0], np.full(n, n)]]
+    data = np.add.reduceat(p1_stiffness(fan).ravel()[plan.kernel], plan.runs)
+    _check_symmetric(data, data - data[plan.mirror])
     return SparseSymMatrix(len(sub.points), plan.indptr, plan.indices, data)
 
 

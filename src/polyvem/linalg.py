@@ -109,6 +109,18 @@ def _mirror_values(keys, v, s, scratch):
     return out
 
 
+def _check_symmetric(v, resid):
+    """Raise AsymmetricMatrix unless resid, v in (row, col) order less its
+    mirrors, is within 1e-14 of max |v|. resid is antisymmetric, so its
+    first worst entry, the one named, lies above the diagonal."""
+    worst = resid[np.abs(resid).argmax()] if len(v) else 0.0
+    vmax = float(np.abs(v).max(initial=0.0))
+    if abs(worst) > 1e-14 * vmax:
+        raise AsymmetricMatrix(
+            f"triplets are not symmetric (residual {worst:.3e} "
+            f"against max entry {vmax:.3e})")
+
+
 def _vector(A, x):
     """x as a float vector, which must have A's length."""
     x = np.asarray(x, dtype=float)
@@ -168,18 +180,7 @@ class SparseSymMatrix:
             # fall under the drop rule
             return cls._from_keys(n, np.r_[keys, _mirrors(keys, s)],
                                   np.r_[v, np.zeros(len(v))])
-        resid = np.subtract(v, resid, out=resid)
-        vmax = float(np.abs(v).max()) if len(v) else 0.0
-        if vmax > 0 and np.abs(resid).max() > 1e-14 * vmax:
-            # R is antisymmetric: its first worst entry in (row, col)
-            # order lies above the diagonal (the key below its mirror's)
-            mirror = _mirrors(keys, s)
-            hit = np.flatnonzero(np.abs(resid) == np.abs(resid).max())
-            k = hit[np.minimum(keys, mirror)[hit].argmin()]
-            worst = resid[k] if keys[k] < mirror[k] else -resid[k]
-            raise AsymmetricMatrix(
-                f"triplets are not symmetric (residual {worst:.3e} "
-                f"against max entry {vmax:.3e})")
+        _check_symmetric(v, np.subtract(v, resid, out=resid))
         del resid
         keep = np.abs(v) >= _DROP_TOL
         if not keep.all():

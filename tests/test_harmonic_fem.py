@@ -351,13 +351,45 @@ def test_oracle_matches_one_solve_per_hat(levels):
             1e-12 * np.abs(reference).max())
 
 
-def _from_triplets(sub):
-    """The sub-mesh matrix from its P1 triplets, built by from_triplets
-    with the module's p1_stiffness, as the oracle once built it."""
+def _triplet_matrix(sub, kernels):
     t = sub.triangles
     return SparseSymMatrix.from_triplets(
-        len(sub.points), np.repeat(t, 3, axis=1), np.tile(t, (1, 3)),
-        harmonic_fem.p1_stiffness(sub.points[t]))
+        len(sub.points), np.repeat(t, 3, axis=1), np.tile(t, (1, 3)), kernels)
+
+
+def _fan_triangles(sub):
+    """The (N, 3, 2) fan triangles (v_i, v_{i+1}, c) of a sub-mesh."""
+    n = len(sub.trace)
+    return np.stack([sub.points[:n], np.roll(sub.points[:n], -1, axis=0),
+                     np.broadcast_to(sub.points[n], (n, 2))], axis=1)
+
+
+def _from_triplets(sub):
+    """The sub-mesh matrix built by from_triplets, each sub-triangle's
+    kernel taken from the module's p1_stiffness of its fan triangle. Fan
+    triangle i holds sub-triangles i m**2 .. (i + 1) m**2 - 1; each is the
+    fan triangle scaled by +-1/m, and the corner order (a cyclic shift)
+    and the sign are found from its edge vectors, which must match to
+    round-off."""
+    n = len(sub.trace)
+    m = int(np.sqrt(len(sub.triangles) // n))
+    tri = sub.points[sub.triangles]
+    fans = _fan_triangles(sub)
+    i = np.arange(len(tri)) // (m * m)
+    fan = fans[i]
+    edges = m * (tri[:, 1:] - tri[:, :1])
+    best, corners = np.full(len(tri), np.inf), np.zeros((len(tri), 3), int)
+    for shift, sign in itertools.product(range(3), (1.0, -1.0)):
+        perm = np.roll([0, 1, 2], -shift)
+        gap = np.abs(edges - sign * (fan[:, perm[1:]] - fan[:, perm[:1]]))
+        gap = gap.max(axis=(1, 2))
+        better = gap < best
+        best[better] = gap[better]
+        corners[better] = perm
+    assert best.max() <= 1e-12 * m * np.abs(fan).max()
+    kernels = harmonic_fem.p1_stiffness(fans)
+    return _triplet_matrix(sub, kernels[
+        i[:, None, None], corners[:, :, None], corners[:, None, :]])
 
 
 def _nonzeros(A):
@@ -371,7 +403,7 @@ def test_the_cached_plan_builds_the_from_triplets_matrix(levels):
     # the same entries, with the exact zeros that from_triplets drops
     # kept, and the same bits of A @ x
     rng = np.random.default_rng(levels)
-    for poly in ORACLE_CELLS:
+    for poly in ORACLE_CELLS + list(ILL_SHAPED.values()):
         sub = subtriangulate(poly, levels)
         A, B = harmonic_fem._submesh_stiffness(sub), _from_triplets(sub)
         assert A.n == B.n
@@ -379,6 +411,45 @@ def test_the_cached_plan_builds_the_from_triplets_matrix(levels):
             assert np.array_equal(got, want)
         x = rng.standard_normal(A.n)
         assert np.array_equal(A @ x, B @ x)
+
+
+@pytest.mark.parametrize("levels", range(MAX_LEVELS + 1))
+def test_the_gathered_matrix_matches_one_kernel_per_sub_triangle(levels):
+    # similar triangles have the same P1 stiffness, so the fan kernels
+    # give each sub-triangle's own kernel up to its coordinates' rounding
+    for poly in ORACLE_CELLS:
+        sub = subtriangulate(poly, levels)
+        A = harmonic_fem._submesh_stiffness(sub)
+        B = _triplet_matrix(sub, p1_stiffness(sub.points[sub.triangles]))
+        keys = [np.repeat(np.arange(M.n), np.diff(M.indptr)) * M.n
+                + M.indices for M in (A, B)]
+        at = np.searchsorted(keys[0], keys[1])
+        assert np.array_equal(keys[0][at], keys[1])
+        want = np.zeros(A.nnz)
+        want[at] = B.data
+        assert np.abs(A.data - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_the_submesh_stiffness_computes_only_the_fan_kernels(monkeypatch):
+    shapes = []
+
+    def spy(triangles):
+        shapes.append(np.shape(triangles))
+        return p1_stiffness(triangles)
+
+    monkeypatch.setattr(harmonic_fem, "p1_stiffness", spy)
+    for poly in (TRIANGLE, PENTAGON, _regular_polygon(16)):
+        shapes.clear()
+        harmonic_fem._submesh_stiffness(subtriangulate(poly, 3))
+        assert shapes == [(len(poly), 3, 2)]
+
+
+def test_the_submesh_stiffness_peak_memory_on_a_16_gon_at_level_5():
+    # 16 4**5 sub-triangles share 16 kernels: no (T, 3, 3) stack of them
+    # is formed, only the (9 T,) gather of the plan's kernel index
+    sub = subtriangulate(_regular_polygon(16), 5)
+    assert traced_peak(
+        lambda: harmonic_fem._submesh_stiffness(sub)) <= 2.5 * 2 ** 20
 
 
 @pytest.mark.parametrize("levels", range(MAX_LEVELS + 1))
@@ -656,8 +727,11 @@ def test_the_oracle_cg_iterations_over_the_five_families(monkeypatch):
 
 
 def test_the_oracle_peak_memory_on_a_16_gon_at_level_5():
-    # the peak is the sub-mesh matrix's build, 5.2 MiB; the guesses add
-    # (P,) arrays only, where (N, P) stacks of them would pass 6 MiB
+    # the peak, 5.66 MiB, is in a lifting's CG solve: its vectors and the
+    # (nnz,) temporaries of each CSR product (the centroid's 17-entry row
+    # rules out the padded copy), beside A, its interior part and the
+    # liftings. The sub-mesh matrix's build peaks at 3.2 MiB. The guesses
+    # add (P,) arrays only, where (N, P) stacks of them would pass 6 MiB
     poly = _regular_polygon(16)
     harmonic_fem._plan(16, 5)
     assert traced_peak(lambda: harmonic_stiffness(poly, 5)) <= 6 * 2 ** 20
