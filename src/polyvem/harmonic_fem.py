@@ -244,46 +244,21 @@ def _fixed_hats(local):
     return [a, b, c]
 
 
-def _lift(reduced, rhs, guess, hat):
-    """The interior values of one hat's lifting, A_II u = b for b = rhs,
-    by at most one CG solve started from its mean value coordinates.
-    With b' = b - A_II guess the guess's residual, CG solves for the
-    correction to the absolute test |r| <= 1e-8 |b|, the same as from
-    zero. Where |b'| already passes it there is no solve; where
-    |b'| >= |b|, CG starts from zero. NoConvergence names the residual
-    relative to |b| in both cases."""
-    residual = rhs - reduced @ guess
-    nb, nr = np.linalg.norm(rhs), np.linalg.norm(residual)
-    if nr <= _LIFTING_TOL * nb:
-        return guess
-    if nr < nb:
-        result = cg_solve(reduced, residual, tol=_LIFTING_TOL * nb / nr)
-        result.x += guess
-        scale = nr / nb
-    else:
-        result = cg_solve(reduced, rhs, tol=_LIFTING_TOL)
-        scale = 1.0
-    if not result.converged:
-        raise NoConvergence(
-            f"lifting of hat {hat} stalled at relative residual "
-            f"{result.residual * scale:.3e}")
-    return result.x
-
-
 def harmonic_stiffness(poly, levels=3):
     """(N, N) energy inner products of the P1 liftings of the boundary hats.
 
-    Only N-3 hats are lifted by CG, each by _lift. The sub-mesh
-    reproduces linear functions and the hats sum to one on the boundary
-    (exactly, as the trace values are dyadic), so the liftings of the
-    boundary traces of 1, x and y are 1, x and y. Three hats (a, b, c),
-    chosen by _fixed_hats in coordinates local to the cell, take their
-    interior values from these identities: with s the solved hats, they
-    are C^-1 [1 - sum phi_s; x - sum x_s phi_s; y - sum y_s phi_s], for
-    C = [1; x; y] at (a, b, c). Their errors are interior perturbations,
-    as the solved liftings' are, so the matrix stays at round-off. A
-    triangle needs no solve and no mean value coordinates: its liftings
-    are its barycentric coordinates.
+    Only N-3 hats are lifted, each by one CG solve to |r| <= 1e-8 |b|
+    from its mean value coordinates; NoConvergence names CG's residual.
+    The sub-mesh reproduces linear functions and the hats sum to one on
+    the boundary (exactly, as the trace values are dyadic), so the
+    liftings of the boundary traces of 1, x and y are 1, x and y. Three
+    hats (a, b, c), chosen by _fixed_hats in coordinates local to the
+    cell, take their interior values from these identities: with s the
+    solved hats, they are C^-1 [1 - sum phi_s; x - sum x_s phi_s;
+    y - sum y_s phi_s], for C = [1; x; y] at (a, b, c). Their errors are
+    interior perturbations, as the solved liftings' are, so the matrix
+    stays at round-off. A triangle needs no solve and no mean value
+    coordinates: its liftings are its barycentric coordinates.
     """
     sub = subtriangulate(poly, levels)
     A = _submesh_stiffness(sub)
@@ -304,9 +279,14 @@ def harmonic_stiffness(poly, levels=3):
     guesses = _mean_value_coordinates(sub.points[:n], sub.points[interior],
                                       solved)
     for guess, i in zip(guesses, solved):
-        values = _lift(reduced, -(A @ liftings[i])[interior], guess, i)
-        liftings[i, interior] = values
-        sums += linear[i][:, None] * values
+        result = cg_solve(reduced, -(A @ liftings[i])[interior],
+                          tol=_LIFTING_TOL, x0=guess)
+        if not result.converged:
+            raise NoConvergence(
+                f"lifting of hat {i} stalled at relative residual "
+                f"{result.residual:.3e}")
+        liftings[i, interior] = result.x
+        sums += linear[i][:, None] * result.x
     liftings[np.ix_(fixed, interior)] = np.linalg.solve(
         linear[fixed].T, linear[interior].T - sums)
     products = np.array([A @ lifting for lifting in liftings])

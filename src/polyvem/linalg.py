@@ -247,8 +247,10 @@ def _padded_matvec(A):
     column: row i's entries fill column i of two (width, n) arrays in
     storage order, padded with column i and value 0, so each row sums as
     in A @ x, and a non-finite x[j] reaches the same rows wherever the
-    diagonal is stored. No row is padded past twice the mean length:
-    where one is longer, the kernel is A @ x itself."""
+    diagonal is stored. The gather and the result reuse two buffers, so
+    a product allocates nothing, and the next product overwrites the
+    result. No row is padded past twice the mean length: where one is
+    longer, the kernel is A @ x itself."""
     lengths = np.diff(A.indptr)
     width = int(lengths.max(initial=0))
     if width > 2 * A.nnz // max(A.n, 1):
@@ -259,23 +261,28 @@ def _padded_matvec(A):
     # filled through the (n, width) views, so row by row as in CSR
     cols.T[filled] = A.indices
     vals.T[filled] = A.data
+    gathered, y = np.empty((width, A.n)), np.empty(A.n)
     # take never wraps: every stored column lies in [0, n)
-    return lambda x: np.einsum("ji,ji->i", vals, np.take(x, cols, mode="wrap"))
+    return lambda x: np.einsum(
+        "ji,ji->i", vals, x.take(cols, None, gathered, "wrap"), out=y)
 
 
-def cg_solve(A, b, tol=1e-12):
+def cg_solve(A, b, tol=1e-12, x0=None):
     """Conjugate gradients with Jacobi preconditioning.
 
-    Starts from zero, measures convergence as |r| <= tol * |b|, stops
-    unconverged after 10 n iterations, and is fully deterministic. A zero
-    right-hand side returns the zero vector without iterating. Raises
-    ValueError unless 0 < tol < 1, and ZeroDiagonal if the preconditioner
-    cannot be formed. Its products run on a row-padded copy of A, made on
-    entry.
+    Starts from x0 (not written to), or from zero, measures convergence
+    as |r| <= tol * |b|, stops unconverged after 10 n iterations, and is
+    fully deterministic. A start that passes returns after 0 iterations,
+    and a zero right-hand side returns the zero vector whatever x0 is.
+    Raises ValueError unless 0 < tol < 1 and b and x0 have A's length,
+    and ZeroDiagonal if the preconditioner cannot be formed. Its
+    products run on a row-padded copy of A, made on entry.
     """
     if not 0.0 < tol < 1.0:  # also rejects NaN
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     b = _vector(A, b)
+    if x0 is not None:
+        x0 = _vector(A, x0)
     n = A.n
     max_iter = 10 * n
     # CG runs on b * 2^-e with the largest |b_i| in [0.5, 1), so its dot
@@ -293,17 +300,24 @@ def cg_solve(A, b, tol=1e-12):
     minv = 1.0 / diag
     matvec = _padded_matvec(A)
 
-    # x, r, z and p are updated in place through one scratch vector; each
-    # update rounds exactly as its out-of-place form (a + b == b + a)
-    x = np.zeros(n)
-    r = b
-    z = minv * r
-    p = z.copy()
-    scratch = np.empty(n)
-
     def result(iterations, rn, converged):
         return CGResult(np.ldexp(x, e, out=x), iterations, rn / nb, converged)
 
+    # x, r, z and p are updated in place through one scratch vector; each
+    # update rounds exactly as its out-of-place form (a + b == b + a).
+    # x0 is scaled as b is, and a start that passes needs no iteration
+    if x0 is None:
+        x = np.zeros(n)
+        r = b
+    else:
+        x = np.ldexp(x0, -e)
+        r = b - matvec(x)
+        rn = math.sqrt(r @ r)
+        if rn <= tol * nb:
+            return result(0, rn, True)
+    z = minv * r
+    p = z.copy()
+    scratch = np.empty(n)
     rz = float(r @ z)
     for it in range(1, max_iter + 1):
         q = matvec(p)

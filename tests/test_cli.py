@@ -386,15 +386,40 @@ FROZEN_STABILITY = {
 }
 
 
-@pytest.mark.parametrize("family", FROZEN_STABILITY)
-def test_stability_alphas_are_frozen(capsys, family):
+# the same at --oracle-levels 4, the level of the oracle_cells benchmark
+# workload, as the CSV read when each lifting was one CG call started
+# from the hat's mean value coordinates
+FROZEN_STABILITY_LEVEL_4 = {
+    "quad": [(1, 1.49707602339)] * 4,
+    "perturbed_quad": [(1, 1.49569716725), (1, 1.47926427707),
+                       (1, 1.46785580668), (1, 1.49812497481)],
+    "triangle": [(1, 1)] * 8,
+    "hexagon": [(1, 1.46549310208), (1, 1.18097902128), (1, 1.46549310208),
+                (1, 1.21927576156), (1, 1.21927576156)],
+    "hanging_node": [(1, 1.49707602339)] * 4
+    + [(0.827817328315, 1.49707602339)] * 2 + [(1, 1.49707602339)],
+}
+
+
+def _assert_stability_alphas(capsys, family, levels, frozen):
     assert main(["stability", "--family", family, "--n", "2",
-                 "--oracle-levels", "3"]) == 0
+                 "--oracle-levels", str(levels)]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
     got = np.array([row.split(",")[2:4] for row in rows], dtype=float)
-    frozen = np.array(FROZEN_STABILITY[family], dtype=float)
+    frozen = np.array(frozen, dtype=float)
     assert got.shape == frozen.shape
     assert (np.abs(got - frozen) <= 1e-10 * frozen).all()
+
+
+@pytest.mark.parametrize("family", FROZEN_STABILITY)
+def test_stability_alphas_are_frozen(capsys, family):
+    _assert_stability_alphas(capsys, family, 3, FROZEN_STABILITY[family])
+
+
+@pytest.mark.parametrize("family", FROZEN_STABILITY_LEVEL_4)
+def test_stability_alphas_are_frozen_at_level_4(capsys, family):
+    _assert_stability_alphas(capsys, family, 4,
+                             FROZEN_STABILITY_LEVEL_4[family])
 
 
 def test_plot_wireframe_path_count(tmp_path):

@@ -242,37 +242,34 @@ def test_oracle_cauchy_in_levels():
 
 def test_a_lifting_that_does_not_converge_raises(monkeypatch):
     # every hat's CG reports a stall; the first solved hat's names it. On
-    # the square that is hat 3: 0, 2 and 1 are fixed. Its CG solves for
-    # the correction, so the residual it reports, relative to |b'|, is
-    # named relative to the hat's |b|
-    sub, interior, guesses = _interior_guesses(SQUARE, 2)
-    A = harmonic_fem._submesh_stiffness(sub)
-    rhs = -(A @ sub.trace[3])[interior]
-    residual = rhs - A.restrict(interior) @ guesses[3]
-    ratio = np.linalg.norm(residual) / np.linalg.norm(rhs)
-    assert 0.0 < ratio < 1.0
+    # the square that is hat 3: 0, 2 and 1 are fixed. CG starts from the
+    # guess, and its figure is already relative to the hat's |b|
     monkeypatch.setattr(
         harmonic_fem, "cg_solve",
-        lambda A, b, tol: CGResult(np.zeros(A.n), 7, 0.5, False))
-    with pytest.raises(NoConvergence, match=(
-            "^lifting of hat 3 stalled at relative residual "
-            f"{0.5 * ratio:.3e}$")):
+        lambda A, b, tol, x0: CGResult(np.zeros(A.n), 7, 0.5, False))
+    with pytest.raises(NoConvergence, match=r"^lifting of hat 3 stalled at "
+                                            r"relative residual 5\.000e-01$"):
         harmonic_stiffness(SQUARE, 2)
 
 
 def test_a_lifting_solved_from_zero_names_its_own_residual(monkeypatch):
-    # where the guess is no better than zero, CG solves for the lifting
-    # itself, and its figure is already relative to |b|
+    # a zero guess is a start from zero: CG gets it as x0, and its figure
+    # is named as it is from any other start
+    starts = []
+
+    def stalled(A, b, tol, x0):
+        starts.append(x0)
+        return CGResult(np.zeros(A.n), 7, 0.5, False)
+
     monkeypatch.setattr(
         harmonic_fem, "_mean_value_coordinates",
         lambda vertices, points, hats: (np.zeros(len(points))
                                         for _ in hats))
-    monkeypatch.setattr(
-        harmonic_fem, "cg_solve",
-        lambda A, b, tol: CGResult(np.zeros(A.n), 7, 0.5, False))
+    monkeypatch.setattr(harmonic_fem, "cg_solve", stalled)
     with pytest.raises(NoConvergence, match=r"^lifting of hat 3 stalled at "
                                             r"relative residual 5\.000e-01$"):
         harmonic_stiffness(SQUARE, 2)
+    assert len(starts) == 1 and not starts[0].any()
 
 
 def _per_hat_harmonic_stiffness(poly, levels):
@@ -525,9 +522,9 @@ def test_the_oracle_solves_one_lifting_fewer_than_it_has_hats(
     # a side in 16 pieces) still leave three hats that span a triangle
     calls = []
 
-    def counted(A, b, tol):
+    def counted(A, b, tol, x0):
         calls.append(len(b))
-        return cg_solve(A, b, tol)
+        return cg_solve(A, b, tol, x0)
 
     poly = SOLVE_COUNT_CELLS[n]
     monkeypatch.setattr(harmonic_fem, "cg_solve", counted)
@@ -658,21 +655,23 @@ APEX_OCTAGON = np.array([[0.0, -1.0], [0.5, -0.5], [2.0, 0.0], [0.5, 0.5],
 
 
 def test_a_hat_with_a_zero_right_hand_side_gets_the_zero_lifting(monkeypatch):
-    # its guess is not zero and leaves a residual, so CG starts from zero
-    # and returns zero at once
+    # its guess is not zero, and CG, given b = 0, returns zero at once
+    # whatever its start
     calls = []
 
-    def recorded(A, b, tol):
-        calls.append((b.copy(), tol))
-        return cg_solve(A, b, tol)
+    def recorded(A, b, tol, x0):
+        calls.append((b.copy(), tol, x0))
+        return cg_solve(A, b, tol, x0)
 
     monkeypatch.setattr(harmonic_fem, "cg_solve", recorded)
     assert 4 in _solved_hats(APEX_OCTAGON)
     oracle, sub = _liftings(monkeypatch, APEX_OCTAGON, 0)
     _, interior, guesses = _interior_guesses(APEX_OCTAGON, 0)
     assert guesses[4, 0] > 0.0
-    zero = [tol for b, tol in calls if not b.any()]
-    assert zero == [harmonic_fem._LIFTING_TOL]
+    zero = [(tol, x0) for b, tol, x0 in calls if not b.any()]
+    assert len(zero) == 1
+    assert zero[0][0] == harmonic_fem._LIFTING_TOL
+    assert np.array_equal(zero[0][1], guesses[4])
     assert np.array_equal(sub.trace[4, interior], np.zeros(1))
     reference = _per_hat_harmonic_stiffness(APEX_OCTAGON, 0)
     assert np.abs(oracle - reference).max() <= 1e-12 * np.abs(reference).max()
@@ -681,14 +680,15 @@ def test_a_hat_with_a_zero_right_hand_side_gets_the_zero_lifting(monkeypatch):
 @pytest.mark.parametrize("levels", [2, 4])
 def test_each_correction_stops_where_a_solve_from_zero_would(
         monkeypatch, levels):
-    # CG gets b' = b - A_II guess of each solved hat in turn, and the
-    # tolerance tol |b| / |b'|, so its test |r| <= tol |b'| is the
-    # |r| <= tol |b| of a solve from zero
+    # CG gets each solved hat's own b, its guess as x0 and the lifting
+    # tolerance, so its test |r| <= tol |b| is that of a solve from zero;
+    # it takes as many iterations as a solve from zero for the correction,
+    # on b' = b - A_II guess to the tolerance tol |b| / |b'|
     calls = []
 
-    def recorded(A, b, tol):
-        calls.append((b.copy(), tol))
-        return cg_solve(A, b, tol)
+    def recorded(A, b, tol, x0):
+        calls.append((b.copy(), tol, x0.copy()))
+        return cg_solve(A, b, tol, x0)
 
     monkeypatch.setattr(harmonic_fem, "cg_solve", recorded)
     for poly in ORACLE_CELLS[:5]:
@@ -699,12 +699,15 @@ def test_each_correction_stops_where_a_solve_from_zero_would(
         reduced = A.restrict(interior)
         hats = _solved_hats(poly)
         assert len(calls) == len(hats) == max(len(poly) - 3, 0)
-        for (b, tol), i in zip(calls, hats):
-            rhs = -(A @ sub.trace[i])[interior]
-            assert np.array_equal(b, rhs - reduced @ guesses[i])
-            assert np.linalg.norm(b) < np.linalg.norm(rhs)
-            assert tol * np.linalg.norm(b) == pytest.approx(
-                harmonic_fem._LIFTING_TOL * np.linalg.norm(rhs), rel=1e-15)
+        for (b, tol, x0), i in zip(calls, hats):
+            assert np.array_equal(b, -(A @ sub.trace[i])[interior])
+            assert np.array_equal(x0, guesses[i])
+            assert tol == harmonic_fem._LIFTING_TOL
+            residual = b - reduced @ x0
+            nb, nr = np.linalg.norm(b), np.linalg.norm(residual)
+            assert nr < nb
+            assert (cg_solve(reduced, b, tol, x0).iterations
+                    == cg_solve(reduced, residual, tol * nb / nr).iterations)
 
 
 def test_the_oracle_cg_iterations_over_the_five_families(monkeypatch):
@@ -713,8 +716,8 @@ def test_the_oracle_cg_iterations_over_the_five_families(monkeypatch):
     # the mean value coordinates, 5,254 for N - 3 of them
     iterations = []
 
-    def counted(A, b, tol):
-        result = cg_solve(A, b, tol)
+    def counted(A, b, tol, x0):
+        result = cg_solve(A, b, tol, x0)
         iterations.append(result.iterations)
         return result
 

@@ -567,13 +567,15 @@ def test_cg_iteration_cap():
     assert res.iterations == 300
 
 
-def _reference_cg(A, b, tol=1e-12):
+def _reference_cg(A, b, tol=1e-12, x0=None):
     """The out-of-place Jacobi-CG loop that cg_solve's in-place one must
     match bit for bit: (x, iterations, residual)."""
     nb = float(np.linalg.norm(b))
     minv = 1.0 / A.diagonal()
-    x = np.zeros(A.n)
-    r = b.copy()
+    x = np.zeros(A.n) if x0 is None else x0.copy()
+    r = b - A @ x
+    if float(np.linalg.norm(r)) <= tol * nb:
+        return x, 0, float(np.linalg.norm(r)) / nb
     z = minv * r
     p = z.copy()
     rz = float(r @ z)
@@ -616,12 +618,14 @@ def _random_spd_system():
     _random_spd_system,
 ], ids=["hexagon16", "perturbed_quad16_seed7", "random_spd"])
 def test_cg_matches_the_out_of_place_loop_bitwise(system):
+    # from zero, and from a start vector: CG's loose solve
     A, b = system()
-    x, iterations, residual = _reference_cg(A, b)
-    res = cg_solve(A, b)
-    assert res.converged and iterations > 10
-    assert np.array_equal(res.x, x)
-    assert res.iterations == iterations and res.residual == residual
+    for x0 in (None, cg_solve(A, b, tol=1e-2).x):
+        x, iterations, residual = _reference_cg(A, b, x0=x0)
+        res = cg_solve(A, b, x0=x0)
+        assert res.converged and iterations > 10
+        assert np.array_equal(res.x, x)
+        assert res.iterations == iterations and res.residual == residual
 
 
 @pytest.mark.parametrize("k", [600, -600])
@@ -635,6 +639,57 @@ def test_cg_is_exact_under_power_of_two_scaling(k):
     assert np.array_equal(scaled.x, 2.0 ** k * res.x)
     assert scaled.iterations == res.iterations
     assert scaled.residual == res.residual
+
+
+def test_cg_from_a_start_that_already_passes_does_not_iterate():
+    A, b = _random_spd_system()
+    exact = cg_solve(A, b, tol=1e-14).x
+    res = cg_solve(A, b, tol=1e-8, x0=exact)
+    assert res.converged and res.iterations == 0
+    assert np.array_equal(res.x, exact)
+    assert res.residual == pytest.approx(
+        np.linalg.norm(b - A @ exact) / np.linalg.norm(b), rel=1e-12)
+    assert res.residual <= 1e-8
+
+
+def test_cg_with_a_zero_right_hand_side_returns_zero_whatever_its_start():
+    A, _ = _random_spd_system()
+    for x0 in (np.ones(A.n), np.full(A.n, np.nan)):
+        res = cg_solve(A, np.zeros(A.n), x0=x0)
+        assert res.converged and res.iterations == 0
+        assert np.array_equal(res.x, np.zeros(A.n))
+
+
+@pytest.mark.parametrize("system", [
+    lambda: _interior_system("hexagon", 16),
+    _random_spd_system,
+], ids=["hexagon16", "random_spd"])
+def test_cg_from_a_start_takes_the_iterations_of_a_solve_for_the_correction(
+        system):
+    # the residuals from x0 are those of a solve from zero on
+    # b' = b - A x0, and the test |r| <= tol |b| is |r| <= tol' |b'| for
+    # tol' = tol |b| / |b'|
+    A, b = system()
+    x0 = cg_solve(A, b, tol=1e-3).x
+    residual = b - A @ x0
+    nb, nr = np.linalg.norm(b), np.linalg.norm(residual)
+    start = cg_solve(A, b, tol=1e-10, x0=x0)
+    correction = cg_solve(A, residual, tol=1e-10 * nb / nr)
+    assert start.converged and correction.converged
+    assert start.iterations == correction.iterations > 10
+    assert np.abs(start.x - (x0 + correction.x)).max() <= (
+        1e-12 * np.abs(start.x).max())
+
+
+def test_cg_neither_writes_to_its_start_nor_takes_one_of_another_length():
+    A, b = _random_spd_system()
+    x0 = np.ones(A.n)
+    x0.flags.writeable = False
+    assert cg_solve(A, b, x0=x0).converged
+    assert np.array_equal(x0, np.ones(A.n))
+    for bad in (np.ones(A.n - 1), np.ones((A.n, 1))):
+        with pytest.raises(ValueError, match="^vector of shape"):
+            cg_solve(A, b, x0=bad)
 
 
 def test_cg_stops_at_the_first_non_finite_curvature():
