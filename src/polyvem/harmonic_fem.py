@@ -67,11 +67,11 @@ class SubTriangulation:
 # What the sub-mesh of an n-gon at a level shares with every other: the
 # lattice numbering (own, a, b) of subtriangulate, its triangles, trace
 # and boundary, and the sub-mesh matrix's CSR pattern (indptr, indices).
-# The entry of run k sums kernel[runs[k]:runs[k + 1]] of the fan triangles'
-# p1_stiffness, flattened (n, 3, 3), in from_triplets' order, and
-# mirror[k] is the entry at its transposed position. All are read-only.
+# The entry of run k sums kernel[runs[k]:runs[k + 1]], in from_triplets'
+# order, of the fan triangles' p1_stiffness, flattened (n, 3, 3). All
+# are read-only.
 _Plan = namedtuple("_Plan", "own a b triangles trace boundary indptr "
-                   "indices kernel runs mirror")
+                   "indices kernel runs")
 
 
 @functools.lru_cache(maxsize=8)
@@ -79,8 +79,8 @@ def _plan(n, levels):
     """The _Plan of an n-gon at a level, built once. Eight are kept, one
     per vertex count of a mesh at one level. Most of a plan is the (n, M)
     trace, which grows as n**2 4**levels: a 64-gon at level 5 takes
-    28 MiB, an 8-gon 1.75 MiB, and the 3- to 6-gons of the five families
-    at level 4 take 0.15-0.32 MiB."""
+    26.6 MiB, an 8-gon 1.53 MiB, and the 3- to 6-gons of the five
+    families at level 4 take 0.13-0.28 MiB."""
     m = 2 ** levels
     nxt = np.r_[1:n, 0]
     # the m(m+1)/2 nodes a >= 1 of one fan triangle: first the m nodes on
@@ -114,7 +114,7 @@ def _plan(n, levels):
               + corners[:, None, :]).ravel()[order]
     plan = _Plan(own, a, b, triangles, trace, trace.any(axis=0),
                  np.searchsorted(rows, np.arange(size + 1)), indices, kernel,
-                 runs, np.searchsorted(entries, indices * size + rows))
+                 runs)
     for array in plan:
         array.flags.writeable = False
     return plan
@@ -176,16 +176,17 @@ def p1_stiffness(triangles):
 def _submesh_stiffness(sub):
     """from_triplets of the P1 stiffness triplets of a subtriangulate
     result, gathered by its cached plan from the n fan triangles' kernels,
-    the only ones p1_stiffness computes. Entries that sum to exactly 0, as
-    on the right angles of a quad's sub-mesh, stay in the pattern where
-    from_triplets drops them: a finite x gives each product 0 * x[j] =
-    +-0, and a row sum that starts at +0 is never -0, so adding it leaves
-    A @ x bit for bit."""
+    the only ones p1_stiffness computes and the ones checked for
+    symmetry. Entries that sum to exactly 0, as on the right angles of a
+    quad's sub-mesh, stay in the pattern where from_triplets drops them:
+    a finite x gives each product 0 * x[j] = +-0, and a row sum that
+    starts at +0 is never -0, so adding it leaves A @ x bit for bit."""
     n = len(sub.trace)
     plan = _plan(n, (len(sub.triangles) // n).bit_length() // 2)
     fan = sub.points[np.c_[np.arange(n), np.r_[1:n, 0], np.full(n, n)]]
-    data = np.add.reduceat(p1_stiffness(fan).ravel()[plan.kernel], plan.runs)
-    _check_symmetric(data, data - data[plan.mirror])
+    kernels = p1_stiffness(fan)
+    _check_symmetric(kernels, kernels - np.swapaxes(kernels, 1, 2))
+    data = np.add.reduceat(kernels.ravel()[plan.kernel], plan.runs)
     return SparseSymMatrix(len(sub.points), plan.indptr, plan.indices, data)
 
 

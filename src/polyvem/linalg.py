@@ -62,12 +62,9 @@ def _stable_order(keys, bound):
     return keys, order
 
 
-def _mirrors(keys, s, out=None):
+def _mirrors(keys, s):
     """The key c << s | r of the mirror of each key r << s | c."""
-    mirror = np.bitwise_and(keys, (1 << s) - 1, out=out)
-    mirror <<= s
-    mirror |= keys >> s
-    return mirror
+    return (keys & ((1 << s) - 1)) << s | keys >> s
 
 
 def _sum_runs(keys, values, bound):
@@ -94,26 +91,12 @@ def _sum_runs(keys, values, bound):
     return keys[:len(sums)], sums
 
 
-def _mirror_values(keys, v, s, scratch):
-    """The value of each entry's mirror, for distinct ascending keys
-    r << s | c and their values v, or None where a mirror is absent. On a
-    symmetric pattern the sorted mirrors are the keys, and the mirrors'
-    sort order scatters each value to its mirror's place; the mirrors
-    are built and sorted in scratch (int64, len(keys))."""
-    mirror, order = _stable_order(_mirrors(keys, s, out=scratch),
-                                  1 << 2 * s)
-    if not np.array_equal(mirror, keys):
-        return None
-    out = np.empty_like(v)
-    out[order] = v
-    return out
-
-
 def _check_symmetric(v, resid):
-    """Raise AsymmetricMatrix unless resid, v in (row, col) order less its
-    mirrors, is within 1e-14 of max |v|. resid is antisymmetric, so its
-    first worst entry, the one named, lies above the diagonal."""
-    worst = resid[np.abs(resid).argmax()] if len(v) else 0.0
+    """Raise AsymmetricMatrix unless resid, v less its mirrors (arrays of
+    any shape, read in C order), is within 1e-14 of max |v|. resid is
+    antisymmetric, so its first worst entry, the one named, lies above
+    the diagonal (of its block, in a stack of blocks)."""
+    worst = resid.flat[np.abs(resid).argmax()] if resid.size else 0.0
     vmax = float(np.abs(v).max(initial=0.0))
     if abs(worst) > 1e-14 * vmax:
         raise AsymmetricMatrix(
@@ -135,7 +118,8 @@ class SparseSymMatrix:
     Immutable: it holds n and the CSR arrays indptr, indices and data,
     fixed once built, and nothing else; a method that needs each entry's
     row reads it from indptr. A @ x sums each row's entries in storage
-    order."""
+    order. Its builders keep it symmetric: each checks the blocks or
+    the triplet sums it is built from, not the CSR it builds."""
 
     def __init__(self, n, indptr, indices, data):
         self.n = int(n)
@@ -147,41 +131,38 @@ class SparseSymMatrix:
     def from_triplets(cls, n, rows, cols, values):
         """Build from (row, col, value) triplets.
 
-        Duplicate positions are summed, entries below 1e-300 in magnitude
-        are dropped, and the summed data must be symmetric to 1e-14
-        relative to the largest entry.
+        Duplicate positions are summed, the sums must be symmetric to
+        1e-14 relative to the largest (an absent mirror reads 0), and
+        entries below 1e-300 in magnitude are then dropped.
         """
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
-        values = np.ravel(values).astype(float)  # a copy: it is scratch
+        values = np.asarray(values, dtype=float).ravel()
         if not (len(rows) == len(cols) == len(values)):
             raise ValueError("rows, cols, values must have equal length")
         if len(rows) and (rows.min() < 0 or rows.max() >= n
                           or cols.min() < 0 or cols.max() >= n):
             raise IndexOutOfRange(f"triplet index outside [0, {n})")
-        keys = rows << _key_bits(n)
+        s = _key_bits(n)
+        keys = rows << s
         keys |= cols
+        # the sums, then each summed entry's zero mirror added, so the
+        # pattern is symmetric and an absent mirror reads 0: v + 0 is v
+        summed, v = _sum_runs(keys.copy(), values, 1 << 2 * s)
+        summed, v = _sum_runs(np.r_[summed, _mirrors(summed, s)],
+                              np.r_[v, np.zeros(len(v))], 1 << 2 * s)
+        _check_symmetric(
+            v, v - v[np.searchsorted(summed, _mirrors(summed, s))])
         return cls._from_keys(n, keys, values)
 
     @classmethod
     def _from_keys(cls, n, keys, values):
-        """from_triplets on the keys row << s | col, s = _key_bits(n), of
-        the positions (int64, each in range), with no check of them. Both
-        arrays (values float64 and contiguous) are scratch: the build
-        overwrites them, and the matrix keeps no view of either."""
+        """The matrix of the summed values (float64) at the keys
+        row << s | col, s = _key_bits(n) (int64, in range), less sums
+        below 1e-300, unchecked: its builder checks symmetry. The keys
+        are sorted in place; the matrix keeps no view of either array."""
         s = _key_bits(n)
         keys, v = _sum_runs(keys, values, 1 << 2 * s)
-        # symmetry: R = A - A^T must vanish to round-off. The mirrors are
-        # sorted in the values' scratch, all of which are summed
-        resid = _mirror_values(keys, v, s, values.view(np.int64)[:len(v)])
-        if resid is None:
-            # give every summed entry an explicit zero mirror and build
-            # again: v + 0 is v, an absent mirror reads 0, and the zeros
-            # fall under the drop rule
-            return cls._from_keys(n, np.r_[keys, _mirrors(keys, s)],
-                                  np.r_[v, np.zeros(len(v))])
-        _check_symmetric(v, np.subtract(v, resid, out=resid))
-        del resid
         keep = np.abs(v) >= _DROP_TOL
         if not keep.all():
             keys, v = keys[keep], v[keep]

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .element import ElementBatch
-from .errors import NoConvergence, ValidationError, VemError
+from .errors import AsymmetricMatrix, NoConvergence, ValidationError, VemError
 # kept as a module attribute: perfbench's tracing tests look it up here
 from .geometry import cell_geometry  # noqa: F401
-from .linalg import SparseSymMatrix, _key_bits, cg_solve
+from .linalg import SparseSymMatrix, _check_symmetric, _key_bits, cg_solve
 from .mesh import generate
 
 CSV_HEADER = "level,h_max,n_dof,err_L2,err_H1,eoc_L2,eoc_H1,cg_iters,wall_ms"
@@ -148,7 +148,8 @@ def _assemble_parts(mesh, problem, nu_policy, quad_order, stiffness=None):
     _CELLS_PER_SLICE cells at a time. The triplets go straight into a
     key and a value array sized once for the whole mesh. A degenerate
     cell, one of fewer than 3 vertices included, raises the VemError of
-    its first failed check, naming the lowest such cell."""
+    its first failed check, naming the lowest such cell, before the
+    AsymmetricMatrix of the first slice whose matrices are not symmetric."""
     if mesh.n_cells == 0:
         raise ValidationError("mesh has no cells")
     groups = mesh.cell_groups()
@@ -157,7 +158,7 @@ def _assemble_parts(mesh, problem, nu_policy, quad_order, stiffness=None):
     keys = np.empty(size, dtype=np.int64)
     vals = np.empty(size)
     b = np.zeros(mesh.n_vertices)
-    projectors, failures = [], []
+    projectors, failures, asymmetric = [], [], None
     end = 0
     for ids, loops, geo in groups:
         n = loops.shape[1]
@@ -171,6 +172,11 @@ def _assemble_parts(mesh, problem, nu_policy, quad_order, stiffness=None):
             Pi_star[cells] = el.Pi_star
             K = el.K if stiffness is None else stiffness(part.vertices)
             del el  # of its element matrices, only K stays alive
+            if asymmetric is None:
+                try:
+                    _check_symmetric(K, K - np.swapaxes(K, 1, 2))
+                except AsymmetricMatrix as error:
+                    asymmetric = error
             start, end = end, end + K.size
             # the key row << s | col and the value of entry (i, j) of
             # cell k sit at k, i, j
@@ -188,6 +194,8 @@ def _assemble_parts(mesh, problem, nu_policy, quad_order, stiffness=None):
     if failures:
         ci, error = min(failures, key=lambda f: f[0])
         raise type(error)(f"cell {ci}: {error}") from error
+    if asymmetric is not None:
+        raise asymmetric
     A = SparseSymMatrix._from_keys(mesh.n_vertices, keys, vals)
     return A, b, projectors
 

@@ -13,6 +13,7 @@ from polyvem.element import (
 )
 from polyvem import solver
 from polyvem.errors import (
+    AsymmetricMatrix,
     InvertedSubTriangle,
     NonPositiveArea,
     VemError,
@@ -131,6 +132,52 @@ def test_solve_names_the_lowest_bad_cell_across_element_slices(low, high):
     with pytest.raises(ZeroLengthEdge) as got:
         solve(PolygonalMesh(mesh.vertices, cells), sinsin_problem())
     assert str(got.value) == f"cell {high}: edge 0 has zero length"
+
+
+def _skewed_element(skew):
+    """A local-stiffness provider: the element's K, with every K[2, 0]
+    scaled by 1 + skew."""
+    def stiffness(vertices):
+        K = ElementBatch.of(CellBatch(vertices)).K
+        K[:, 2, 0] *= 1.0 + skew
+        return K
+    return stiffness
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_solve_checks_the_symmetry_of_each_slice_of_local_matrices(family):
+    # a skew of 1e-12 raises, naming the slice's first worst
+    # K[a, b] - K[b, a] with a < b, here K[0, 2] - K[2, 0]; at n=4 each
+    # group is one slice, and the first group's is checked first. A
+    # skew of 1e-15 is round-off, and the solve goes through
+    mesh = generate(MeshFamilySpec(family, 4, seed=7))
+    problem = sinsin_problem()
+    K = _skewed_element(1e-12)(mesh.cell_groups()[0][2].vertices)
+    resid = K[:, 0, 2] - K[:, 2, 0]
+    with pytest.raises(AsymmetricMatrix) as got:
+        solve(mesh, problem, stiffness=_skewed_element(1e-12))
+    assert str(got.value) == (
+        f"triplets are not symmetric (residual "
+        f"{resid[np.abs(resid).argmax()]:.3e} "
+        f"against max entry {np.abs(K).max():.3e})")
+    want = solve(mesh, problem).dof_values
+    got = solve(mesh, problem, stiffness=_skewed_element(1e-15)).dof_values
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("family, n", [("quad", 48), ("hanging_node", 8)])
+def test_a_bad_cell_is_named_before_an_asymmetric_slice(family, n):
+    # every slice's matrices are skewed, and the last cell of the last
+    # group, past the first slice, is clockwise: the cell is named
+    mesh = generate(MeshFamilySpec(family, n))
+    ids = mesh.cell_groups()[-1][0]
+    assert ids[-1] >= solver._CELLS_PER_SLICE or len(mesh.cell_groups()) > 1
+    cells = [list(c) for c in mesh.cells]
+    cells[ids[-1]] = cells[ids[-1]][::-1]
+    with pytest.raises(NonPositiveArea,
+                       match=rf"^cell {ids[-1]}: signed area"):
+        solve(PolygonalMesh(mesh.vertices, cells), sinsin_problem(),
+              stiffness=_skewed_element(1e-12))
 
 
 @pytest.mark.parametrize("nu_policy", ["unit", "trace"])

@@ -486,19 +486,27 @@ def test_the_plan_cache_is_bounded_and_the_oracle_survives_its_evictions():
 def test_an_asymmetric_submesh_stiffness_raises_as_from_triplets_does(
         monkeypatch):
     # an entry's mirror made to differ by 1e-12 relative, past the 1e-14
-    # that from_triplets allows; both name the same residual
+    # that both allow. from_triplets names its worst summed entry; the
+    # sub-mesh checks the fan kernels, so it names the first kernel's
+    # K[0, 1] - K[1, 0] of largest magnitude
     def skewed(triangles):
         k = p1_stiffness(triangles)
         k[..., 0, 1] *= 1.0 + 1e-12
         return k
 
     sub = subtriangulate(PENTAGON, 2)
+    kernels = skewed(_fan_triangles(sub))
+    resid = kernels[:, 0, 1] - kernels[:, 1, 0]
+    worst = resid[np.abs(resid).argmax()]
     monkeypatch.setattr(harmonic_fem, "p1_stiffness", skewed)
-    with pytest.raises(AsymmetricMatrix) as want:
-        _from_triplets(sub)
     with pytest.raises(AsymmetricMatrix,
-                       match=f"^{re.escape(str(want.value))}$"):
+                       match="^triplets are not symmetric "):
+        _from_triplets(sub)
+    with pytest.raises(AsymmetricMatrix) as got:
         harmonic_fem._submesh_stiffness(sub)
+    assert str(got.value) == (
+        f"triplets are not symmetric (residual {worst:.3e} "
+        f"against max entry {np.abs(kernels).max():.3e})")
 
 
 def _regular_polygon(n):

@@ -344,14 +344,15 @@ def _reference_from_triplets(n, rows, cols, values):
     return (np.searchsorted(r[keep], np.arange(n + 1)), c[keep], v[keep])
 
 
-def test_mirror_lookup_matches_unsorted_searchsorted(monkeypatch):
-    # from_triplets finds mirrors by inverting their sort order; a pattern
-    # that is not symmetric is built once more with a zero mirror for
-    # every summed entry. On triplet sets with missing mirrors, duplicates
-    # and entries small enough to be dropped, both must give what a
-    # stable sort and numpy's own search give: the same arrays or the
-    # same error
-    # every build, the rebuild included, goes through _from_keys
+def test_from_triplets_matches_the_searchsorted_reference_in_one_build(
+        monkeypatch):
+    # from_triplets checks its sums against their mirrors, an absent
+    # mirror reading 0, and builds the matrix in one pass over the
+    # triplets as given, whether or not the pattern is symmetric. On
+    # triplet sets with missing mirrors, duplicates and entries small
+    # enough to be dropped, it must give what a stable sort and numpy's
+    # own search give: the same arrays or the same error
+    # every build goes through _from_keys
     calls = []
     real = SparseSymMatrix._from_keys.__func__
 
@@ -367,7 +368,7 @@ def test_mirror_lookup_matches_unsorted_searchsorted(monkeypatch):
     pool = zip(rng.random((sets, 2, most)),
                rng.choice([1.0, -0.5, 1e-310], (sets, most)),
                rng.random((sets, most)) < 0.8)
-    symmetric, builds = 0, {1: 0, 2: 0}
+    symmetric, patterns = 0, {True: 0, False: 0}
     for n, m, (u, v, mirrored) in zip(sizes, counts, pool):
         r, c = (u[:, :m] * n).astype(np.int64)
         v, mirrored = v[:m], mirrored[:m]
@@ -375,8 +376,7 @@ def test_mirror_lookup_matches_unsorted_searchsorted(monkeypatch):
         r, c = np.r_[r, c[mirrored]], np.r_[c, r[mirrored]]
         v = np.r_[v, v[mirrored]]
         pattern = set(zip(r.tolist(), c.tolist()))
-        expected_calls = 1 if pattern == {(j, i) for i, j in pattern} else 2
-        builds[expected_calls] += 1
+        patterns[pattern == {(j, i) for i, j in pattern}] += 1
         calls.clear()
         try:
             want = _reference_from_triplets(n, r, c, v)
@@ -384,22 +384,23 @@ def test_mirror_lookup_matches_unsorted_searchsorted(monkeypatch):
             with pytest.raises(AsymmetricMatrix) as got:
                 SparseSymMatrix.from_triplets(n, r, c, v)
             assert str(got.value) == str(exc)
-            assert len(calls) == expected_calls
+            assert calls == []
             continue
         A = SparseSymMatrix.from_triplets(n, r, c, v)
-        assert len(calls) == expected_calls
+        assert calls == [n]
         for got, ref in zip((A.indptr, A.indices, A.data), want):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
         symmetric += 1
     assert 0 < symmetric < sets
-    assert builds[1] > 0 and builds[2] > 0
+    assert patterns[True] > 0 and patterns[False] > 0
 
 
 def test_an_asymmetric_pattern_keeps_the_sums_of_its_duplicates():
     # (0, 1) and (1, 0) each come twelve times; (2, 0) is too small to
-    # break the symmetry check but has no mirror. The rebuild adds one
-    # zero per summed entry, so each sum stays numpy's sum of the given
-    # values; a zero per triplet would regroup numpy's pairwise sum
+    # break the symmetry check but has no mirror. The check adds one
+    # zero per summed entry, so each sum it sees stays numpy's sum of
+    # the given values (a zero per triplet would regroup numpy's
+    # pairwise sum), and the matrix is summed from the triplets alone
     rng = np.random.default_rng(0)
     vals = rng.standard_normal(12) * 10.0 ** rng.integers(-8, 8, 12)
     one = np.add.reduceat(vals, [0])[0]
@@ -460,8 +461,8 @@ def test_from_triplets_gives_the_same_matrix_after_a_stable_argsort(
         monkeypatch, pattern):
     # where key << t | place would pass 63 bits, as on a mesh of about a
     # million vertices, the keys are sorted by the stable argsort, t = 0,
-    # and the runs, sums and mirrors are read from that order; a bound of
-    # 2**62 forces that branch on a small matrix
+    # and the runs and sums, the symmetry check's included, are read from
+    # that order; a bound of 2**62 forces that branch on a small matrix
     if pattern == "symmetric":
         [(n, rows, cols, values)] = captured_triplets(monkeypatch,
                                                       _assembly("hexagon"))

@@ -355,9 +355,9 @@ def test_solve_peak_memory_per_stiffness_triplet(family):
 def test_solve_peak_memory_stays_near_the_triplet_buffers(family):
     # the key and value buffers take 16 bytes per triplet; the CSR build
     # sorts and sums in them. Its place tags and run starts take up to 9
-    # bytes per triplet more, one pass at a time, its mirror pass works
-    # per distinct entry, and it gathers the runs' values a block of runs
-    # at a time, so no sorted copy of every value is made
+    # bytes per triplet more, one pass at a time, the CSR arrays are
+    # formed per distinct entry, and it gathers the runs' values a block
+    # of runs at a time, so no sorted copy of every value is made
     assert _solve_peak_per_triplet(family) <= 64
 
 
