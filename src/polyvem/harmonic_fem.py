@@ -65,22 +65,21 @@ class SubTriangulation:
 
 
 # What the sub-mesh of an n-gon at a level shares with every other: the
-# lattice numbering (own, a, b) of subtriangulate, its triangles, trace
-# and boundary, and the sub-mesh matrix's CSR pattern (indptr, indices).
+# lattice numbering (own, a, b) of subtriangulate, its triangles and
+# boundary, and the sub-mesh matrix's CSR pattern (indptr, indices).
 # The entry of run k sums kernel[runs[k]:runs[k + 1]], in from_triplets'
 # order, of the fan triangles' p1_stiffness, flattened (n, 3, 3). All
-# are read-only.
-_Plan = namedtuple("_Plan", "own a b triangles trace boundary indptr "
-                   "indices kernel runs")
+# are read-only; the hat traces, which a caller writes, are not kept.
+_Plan = namedtuple("_Plan", "own a b triangles boundary indptr indices "
+                   "kernel runs")
 
 
 @functools.lru_cache(maxsize=8)
 def _plan(n, levels):
     """The _Plan of an n-gon at a level, built once. Eight are kept, one
-    per vertex count of a mesh at one level. Most of a plan is the (n, M)
-    trace, which grows as n**2 4**levels: a 64-gon at level 5 takes
-    26.6 MiB, an 8-gon 1.53 MiB, and the 3- to 6-gons of the five
-    families at level 4 take 0.13-0.28 MiB."""
+    per vertex count of a mesh at one level. A plan grows as n 4**levels:
+    a 64-gon at level 5 takes 10.1 MiB, a 16-gon 2.53 MiB, and the 3- to
+    6-gons of the five families at level 4 take 0.12-0.24 MiB."""
     m = 2 ** levels
     nxt = np.r_[1:n, 0]
     # the m(m+1)/2 nodes a >= 1 of one fan triangle: first the m nodes on
@@ -102,9 +101,8 @@ def _plan(n, levels):
     # a sub-triangle is its fan triangle (v_i, v_{i+1}, c) scaled by 1/m,
     # upward, or by -1/m as (c, v_i, v_{i+1}), so it has the same kernel
     corners = np.array([[0, 1, 2]] * len(a) + [[2, 0, 1]] * (len(a) - m))
-    trace = np.zeros((n, size))
-    trace[np.arange(n)[:, None], own[:, :m]] = a[:m] / m
-    trace[nxt[:, None], own[:, :m]] = b[:m] / m
+    boundary = np.zeros(size, dtype=bool)
+    boundary[own[:, :m]] = True
     # triplet (k, i, j) sits at row triangles[k, i], column triangles[k, j]
     keys = (triangles[:, :, None] * size + triangles[:, None, :]).ravel()
     order = np.argsort(keys, kind="stable")
@@ -112,7 +110,7 @@ def _plan(n, levels):
     rows, indices = np.divmod(entries, size)
     kernel = (9 * np.arange(n)[:, None, None, None] + 3 * corners[:, :, None]
               + corners[:, None, :]).ravel()[order]
-    plan = _Plan(own, a, b, triangles, trace, trace.any(axis=0),
+    plan = _Plan(own, a, b, triangles, boundary,
                  np.searchsorted(rows, np.arange(size + 1)), indices, kernel,
                  runs)
     for array in plan:
@@ -127,7 +125,9 @@ def subtriangulate(poly, levels):
     (i, a, b), a, b >= 0, a + b <= m, at (a v_i + b v_{i+1} + (m-a-b) c)/m.
     Node (i, 0, b) is (i+1, b, 0), so (i, 0, 0) is c; a + b = m is edge i.
     Rows 0..N-1 are the vertices (i, m, 0), row N is c, then come the
-    nodes a >= 1 of each fan triangle in turn. Any CellBatch fault
+    nodes a >= 1 of each fan triangle in turn. Hat i is a/m on edge i
+    and b/m on edge i-1; its trace is built anew on each call, as
+    harmonic_stiffness writes the liftings into it. Any CellBatch fault
     raises, so the fan covers the polygon exactly once.
     """
     if not 0 <= levels <= MAX_LEVELS:
@@ -137,13 +137,16 @@ def subtriangulate(poly, levels):
     n, m = len(v), 2 ** levels
     plan = _plan(n, levels)
     a, b = plan.a[:, None], plan.b[:, None]
-    points = np.empty((plan.trace.shape[1], 2))
+    points = np.empty((len(plan.boundary), 2))
     points[plan.own] = (a * v[:, None] + b * v[np.r_[1:n, 0], None]
                         + (m - a - b) * c) / m
     points[n] = c
-    # the trace is a copy: harmonic_stiffness writes the liftings into it
+    hats, edges = np.arange(n)[:, None], plan.own[:, :m]
+    trace = np.zeros((n, len(points)))
+    trace[hats, edges] = plan.a[:m] / m
+    trace[hats, np.roll(edges, 1, axis=0)] = plan.b[:m] / m
     return SubTriangulation(points=points, triangles=plan.triangles,
-                            boundary=plan.boundary, trace=plan.trace.copy())
+                            boundary=plan.boundary, trace=trace)
 
 
 def p1_stiffness(triangles):

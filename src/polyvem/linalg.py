@@ -251,7 +251,7 @@ def _padded_matvec(A):
 def cg_solve(A, b, tol=1e-12, x0=None):
     """Conjugate gradients with Jacobi preconditioning.
 
-    Starts from x0 (not written to), or from zero, measures convergence
+    Starts from x0 (not written to), zero by default, measures convergence
     as |r| <= tol * |b|, stops unconverged after 10 n iterations, and is
     fully deterministic. A start that passes returns after 0 iterations,
     and a zero right-hand side returns the zero vector whatever x0 is.
@@ -262,8 +262,7 @@ def cg_solve(A, b, tol=1e-12, x0=None):
     if not 0.0 < tol < 1.0:  # also rejects NaN
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     b = _vector(A, b)
-    if x0 is not None:
-        x0 = _vector(A, x0)
+    x0 = np.zeros(A.n) if x0 is None else _vector(A, x0)
     n = A.n
     max_iter = 10 * n
     # CG runs on b * 2^-e with the largest |b_i| in [0.5, 1), so its dot
@@ -286,16 +285,14 @@ def cg_solve(A, b, tol=1e-12, x0=None):
 
     # x, r, z and p are updated in place through one scratch vector; each
     # update rounds exactly as its out-of-place form (a + b == b + a).
-    # x0 is scaled as b is, and a start that passes needs no iteration
-    if x0 is None:
-        x = np.zeros(n)
-        r = b
-    else:
-        x = np.ldexp(x0, -e)
-        r = b - matvec(x)
-        rn = math.sqrt(r @ r)
-        if rn <= tol * nb:
-            return result(0, rn, True)
+    # x0 is scaled as b is, r = b - A x overwrites b's scaled copy (from
+    # zero, A x is +0 in every row, so r is b), and a start that passes
+    # needs no iteration
+    x = np.ldexp(x0, -e)
+    r = np.subtract(b, matvec(x), out=b)
+    rn = math.sqrt(r @ r)
+    if rn <= tol * nb:
+        return result(0, rn, True)
     z = minv * r
     p = z.copy()
     scratch = np.empty(n)

@@ -30,26 +30,25 @@ _CELLS_PER_SLICE = 1 << 10
 
 @dataclass
 class ManufacturedProblem:
-    """Exact solution, gradient, source f = -Laplace(u), and boundary data.
+    """Exact solution, gradient and source f = -Laplace(u).
 
-    All fields are vectorized callables of (x, y) arrays; g is the
-    restriction of u to the boundary.
+    All fields are vectorized callables of (x, y) arrays. The boundary
+    data g is u itself, so it cannot disagree with the exact solution.
     """
 
     name: str
     u: callable
     grad_u: callable
     f: callable
-    g: callable
 
-
-def _problem(name, u, grad_u, f):
-    return ManufacturedProblem(name=name, u=u, grad_u=grad_u, f=f, g=u)
+    @property
+    def g(self):
+        return self.u
 
 
 def patch_problem():
     """Linear solution: the method must reproduce it to round-off."""
-    return _problem(
+    return ManufacturedProblem(
         "patch",
         lambda x, y: 2.0 + 3.0 * x - y,
         lambda x, y: (np.full_like(x, 3.0), np.full_like(x, -1.0)),
@@ -60,7 +59,7 @@ def patch_problem():
 def sinsin_problem():
     """Smooth standard benchmark: u = sin(pi x) sin(pi y)."""
     pi = np.pi
-    return _problem(
+    return ManufacturedProblem(
         "sinsin",
         lambda x, y: np.sin(pi * x) * np.sin(pi * y),
         lambda x, y: (pi * np.cos(pi * x) * np.sin(pi * y),
@@ -71,7 +70,7 @@ def sinsin_problem():
 
 def quadratic_problem():
     """u = x^2 + 2xy + 3y^2, a curved field with constant source."""
-    return _problem(
+    return ManufacturedProblem(
         "quadratic",
         lambda x, y: x * x + 2.0 * x * y + 3.0 * y * y,
         lambda x, y: (2.0 * x + 2.0 * y, 2.0 * x + 6.0 * y),

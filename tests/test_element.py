@@ -187,7 +187,7 @@ def test_local_load_values():
     mesh = PolygonalMesh(UNIT_SQUARE, [[0, 1, 2, 3]])
 
     def load(f):
-        problem = ManufacturedProblem("load", u=None, grad_u=None, f=f, g=None)
+        problem = ManufacturedProblem("load", u=None, grad_u=None, f=f)
         return _assemble_parts(mesh, problem, "unit", 2)[1]
 
     assert load(lambda x, y: np.ones_like(x)) == pytest.approx(

@@ -466,6 +466,13 @@ def test_a_subtriangulation_shares_nothing_it_may_write(levels):
                 array[0] = array[-1]
 
 
+def test_a_16_gon_plan_at_level_5_holds_no_hat_traces():
+    # the (16, M) traces alone would take 1.03 MiB; the shared numbering,
+    # triangles and CSR pattern take 2.53 MiB
+    plan = harmonic_fem._plan(16, 5)
+    assert sum(array.nbytes for array in plan) <= 2.6 * 2 ** 20
+
+
 def test_the_plan_cache_is_bounded_and_the_oracle_survives_its_evictions():
     # the plans of ten vertex counts fill the cache; then every oracle
     # cell, up to 8 vertices at levels 0-4, stays at round-off of the
@@ -811,8 +818,7 @@ def test_p1_global_zero():
         name="zero",
         u=lambda x, y: np.zeros_like(x),
         grad_u=lambda x, y: (np.zeros_like(x), np.zeros_like(x)),
-        f=lambda x, y: np.zeros_like(x),
-        g=lambda x, y: np.zeros_like(x))
+        f=lambda x, y: np.zeros_like(x))
     mesh = generate(MeshFamilySpec("triangle", 4))
     assert np.abs(p1_global_solve(mesh, zero)).max() == 0.0
 

@@ -616,8 +616,11 @@ def _random_spd_system():
 @pytest.mark.parametrize("system", [
     lambda: _interior_system("hexagon", 16),
     lambda: _interior_system("perturbed_quad", 16, seed=7),
+    lambda: _interior_system("triangle", 16),
+    lambda: _interior_system("hanging_node", 16),
     _random_spd_system,
-], ids=["hexagon16", "perturbed_quad16_seed7", "random_spd"])
+], ids=["hexagon16", "perturbed_quad16_seed7", "triangle16", "hanging_node16",
+        "random_spd"])
 def test_cg_matches_the_out_of_place_loop_bitwise(system):
     # from zero, and from a start vector: CG's loose solve
     A, b = system()

@@ -119,7 +119,6 @@ def test_constant_solution():
         u=lambda x, y: np.full_like(x, 5.0),
         grad_u=lambda x, y: (np.zeros_like(x), np.zeros_like(x)),
         f=lambda x, y: np.zeros_like(x),
-        g=lambda x, y: np.full_like(x, 5.0),
     )
     mesh = generate(MeshFamilySpec("perturbed_quad", 3, seed=2))
     sol = solve(mesh, const)
@@ -132,7 +131,6 @@ def test_zero_data_gives_zero():
         u=lambda x, y: np.zeros_like(x),
         grad_u=lambda x, y: (np.zeros_like(x), np.zeros_like(x)),
         f=lambda x, y: np.zeros_like(x),
-        g=lambda x, y: np.zeros_like(x),
     )
     mesh = generate(MeshFamilySpec("quad", 4))
     sol = solve(mesh, zero)
@@ -184,7 +182,6 @@ def test_error_norm_of_zero_solution():
         u=lambda x, y: np.ones_like(x),
         grad_u=lambda x, y: (np.zeros_like(x), np.zeros_like(x)),
         f=lambda x, y: np.zeros_like(x),
-        g=lambda x, y: np.ones_like(x),
     )
     mesh = generate(MeshFamilySpec("quad", 2))
     sol = solve(mesh, one)
