@@ -22,7 +22,6 @@ machinery only.
 """
 
 import functools
-import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -193,47 +192,6 @@ def _submesh_stiffness(sub):
     return SparseSymMatrix(len(sub.points), plan.indptr, plan.indices, data)
 
 
-def _mean_value_coordinates(vertices, points, hats):
-    """Yield the mean value coordinates of the vertices `hats`, an
-    ascending list, of a polygon at points strictly inside it (Floater,
-    CAGD 2003), one vertex at a time. Vertex i's is w_i / sum(w), with
-    w_i = (t_{i-1} + t_i) / r_i, r_i = |v_i - x| and t_i = tan(alpha_i / 2)
-    of the angle alpha_i that edge (v_i, v_{i+1}) subtends at x. They
-    reproduce 1, x and y, are well defined in any simple polygon, and on
-    a triangle are the barycentric coordinates. Only (P,) arrays are
-    formed, never a (P, N) one, and none where `hats` is empty."""
-    if not hats:
-        return
-    x = points[:, 0] + 1j * points[:, 1]
-    corners = vertices[:, 0] + 1j * vertices[:, 1]
-
-    def edges():
-        # r_i, r_{i+1} and t_i of edges i = -1..N-2, with no trigonometry:
-        # as complex numbers, conj(d_i) d_{i+1} = dot_i + i cross_i for
-        # d_i = v_i - x, and tan(alpha_i / 2) = cross_i / (r_i r_{i+1} + dot_i)
-        da = corners[-1] - x
-        ra = np.abs(da)
-        for v in corners:
-            db = v - x
-            rb = np.abs(db)
-            q = da.conj() * db
-            t = q.imag / (ra * rb + q.real)
-            r, da, ra = ra, db, rb
-            yield r, ra, t
-
-    total = np.zeros(len(points))
-    for ra, rb, t in edges():
-        total += t * (1.0 / ra + 1.0 / rb)
-    pairs = edges()
-    # edge -1 is edge N-1: it ends the cycle at vertex N-1
-    last = next(pairs)
-    before = last[2]
-    for i, (r, _, t) in enumerate(itertools.chain(pairs, [last])):
-        if i in hats:
-            yield (before + t) / (r * total)
-        before = t
-
-
 def _fixed_hats(local):
     """Three vertices of a polygon that span a well-shaped triangle, from
     its (N, 2) vertices in coordinates local to the cell: a is the
@@ -252,23 +210,27 @@ def harmonic_stiffness(poly, levels=3):
     """(N, N) energy inner products of the P1 liftings of the boundary hats.
 
     Only N-3 hats are lifted, each by one CG solve to |r| <= 1e-8 |b|
-    from its mean value coordinates; NoConvergence names CG's residual.
-    The sub-mesh reproduces linear functions and the hats sum to one on
-    the boundary (exactly, as the trace values are dyadic), so the
-    liftings of the boundary traces of 1, x and y are 1, x and y. Three
-    hats (a, b, c), chosen by _fixed_hats in coordinates local to the
-    cell, take their interior values from these identities: with s the
-    solved hats, they are C^-1 [1 - sum phi_s; x - sum x_s phi_s;
+    from its fan-linear interpolant; NoConvergence names CG's residual.
+    That start is linear on each fan triangle T_k, is hat i's trace on
+    the boundary and w_i = (|T_{i-1}| + |T_i|) / (2 sum |T_k|) at the
+    centroid, the fan's area centroid, so the N starts sum to 1, x and y
+    at every node. The sub-mesh reproduces linear functions and the hats
+    sum to one on the boundary (exactly, as the trace values are dyadic),
+    so the liftings of the boundary traces of 1, x and y are 1, x and y.
+    Three hats (a, b, c), chosen by _fixed_hats in coordinates local to
+    the cell, take their interior values from these identities: with s
+    the solved hats, they are C^-1 [1 - sum phi_s; x - sum x_s phi_s;
     y - sum y_s phi_s], for C = [1; x; y] at (a, b, c). Their errors are
     interior perturbations, as the solved liftings' are, so the matrix
-    stays at round-off. A triangle needs no solve and no mean value
-    coordinates: its liftings are its barycentric coordinates.
+    stays at round-off. A triangle needs no solve: its liftings are its
+    barycentric coordinates.
     """
     sub = subtriangulate(poly, levels)
     A = _submesh_stiffness(sub)
     interior = np.flatnonzero(~sub.boundary)
     liftings = sub.trace
-    n = len(liftings)
+    n, m = len(liftings), 2 ** levels
+    plan = _plan(n, levels)
     # 1, x and y at the sub-mesh nodes, x and y centred on the centroid,
     # so C does not depend on where the cell lies
     linear = np.ones((len(sub.points), 3))
@@ -278,13 +240,21 @@ def harmonic_stiffness(poly, levels=3):
     reduced = A.restrict(interior)
     # the sums of 1, x and y times the solved liftings, at the interior
     sums = np.zeros((3, len(interior)))
-    # zip takes the guesses first, so their generator ends, and frees
-    # its arrays, with the loop
-    guesses = _mean_value_coordinates(sub.points[:n], sub.points[interior],
-                                      solved)
-    for guess, i in zip(guesses, solved):
+    # doubled fan-triangle areas, and from them each hat's centroid value
+    p, q = linear[:n, 1:].T
+    areas = p * np.roll(q, -1) - q * np.roll(p, -1)
+    weights = (areas + np.roll(areas, 1)) / (2.0 * areas.sum())
+    centre = m - plan.a - plan.b
+    guess = np.empty(len(sub.points))
+    for i in solved:
+        # (a [k = i] + b [k + 1 = i] + (m - a - b) w_i) / m at node (k, a, b)
+        guess[plan.own] = centre * weights[i]
+        guess[plan.own[i]] += plan.a
+        guess[plan.own[i - 1]] += plan.b
+        guess[n] = m * weights[i]
+        guess /= m
         result = cg_solve(reduced, -(A @ liftings[i])[interior],
-                          tol=_LIFTING_TOL, x0=guess)
+                          tol=_LIFTING_TOL, x0=guess[interior])
         if not result.converged:
             raise NoConvergence(
                 f"lifting of hat {i} stalled at relative residual "

@@ -95,10 +95,10 @@ def _check_symmetric(v, resid):
     """Raise AsymmetricMatrix unless resid, v less its mirrors (arrays of
     any shape, read in C order), is within 1e-14 of max |v|. resid is
     antisymmetric, so its first worst entry, the one named, lies above
-    the diagonal (of its block, in a stack of blocks)."""
+    the diagonal (of its block, in a stack of blocks). A NaN fails."""
     worst = resid.flat[np.abs(resid).argmax()] if resid.size else 0.0
     vmax = float(np.abs(v).max(initial=0.0))
-    if abs(worst) > 1e-14 * vmax:
+    if not abs(worst) <= 1e-14 * vmax:
         raise AsymmetricMatrix(
             f"triplets are not symmetric (residual {worst:.3e} "
             f"against max entry {vmax:.3e})")

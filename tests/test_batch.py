@@ -27,7 +27,7 @@ from polyvem.mesh import (
     generate,
     validate,
 )
-from polyvem.solver import assemble, sinsin_problem, solve
+from polyvem.solver import assemble, patch_problem, sinsin_problem, solve
 
 from conftest import captured_triplets
 
@@ -163,6 +163,21 @@ def test_solve_checks_the_symmetry_of_each_slice_of_local_matrices(family):
     want = solve(mesh, problem).dof_values
     got = solve(mesh, problem, stiffness=_skewed_element(1e-15)).dof_values
     assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_a_nan_pair_in_one_local_matrix_fails_the_symmetry_check():
+    # K[0, 1] = K[1, 0] = NaN in one cell: the pair is symmetric in form,
+    # but its residual is NaN, and the solve stops before CG
+    def stiffness(vertices):
+        K = ElementBatch.of(CellBatch(vertices)).K
+        K[0, 0, 1] = K[0, 1, 0] = np.nan
+        return K
+
+    mesh = generate(MeshFamilySpec("triangle", 4))
+    with pytest.raises(AsymmetricMatrix, match=(
+            r"^triplets are not symmetric \(residual nan against max "
+            r"entry nan\)$")):
+        solve(mesh, patch_problem(), stiffness=stiffness)
 
 
 @pytest.mark.parametrize("family, n", [("quad", 48), ("hanging_node", 8)])

@@ -388,7 +388,8 @@ FROZEN_STABILITY = {
 
 # the same at --oracle-levels 4, the level of the oracle_cells benchmark
 # workload, as the CSV read when each lifting was one CG call started
-# from the hat's mean value coordinates
+# from the hat's mean value coordinates, and reads unchanged now that it
+# starts from the hat's fan-linear interpolant
 FROZEN_STABILITY_LEVEL_4 = {
     "quad": [(1, 1.49707602339)] * 4,
     "perturbed_quad": [(1, 1.49569716725), (1, 1.47926427707),

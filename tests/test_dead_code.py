@@ -2,9 +2,10 @@
 every exception class is called (raised with a message or constructed)
 somewhere, every imported name is used by the module that imports it,
 every public function, class and method is named somewhere outside
-its own definition, every public attribute that a class sets on self
-is read outside that class, and every optional parameter of a public
-function or method is passed by some call in src/, demos/ or
+its own definition, and every private one (dunder methods aside) in
+src/, demos/ or perfbench/; every public attribute that a class sets
+on self is read outside that class, and every optional parameter of a
+public function or method is passed by some call in src/, demos/ or
 perfbench/. Names match by bare identifier, so a call to another
 function of the same name counts."""
 
@@ -72,18 +73,27 @@ def _named(tree):
     return out
 
 
-def _public_definitions(tree):
-    """(qualified name, node) of the public module-level functions and
-    classes of a tree, and of the public methods of its classes."""
+def _definitions(tree):
+    """(qualified name, node) of the module-level functions and classes
+    of a tree, and of the methods of its classes, dunder methods aside."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            if not node.name.startswith("_"):
-                yield node.name, node
+            yield node.name, node
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if (isinstance(item, ast.FunctionDef)
-                            and not item.name.startswith("_")):
+                            and not re.fullmatch(r"__\w+__", item.name)):
                         yield f"{node.name}.{item.name}", item
+
+
+def _uncalled(named, private):
+    """The definitions of src/, public or private ones, that `named`
+    names no more often than their own definitions do."""
+    return [f"{module}.{qualname}"
+            for module, tree in _trees().items()
+            for qualname, node in _definitions(tree)
+            if node.name.startswith("_") == private
+            and named[node.name] <= _named(node)[node.name]]
 
 
 def _program_trees():
@@ -100,11 +110,15 @@ def test_every_public_name_has_a_caller():
     for tree in _program_trees():
         named += _named(tree)
     named.update(re.findall(r"\w+", (ROOT / "README.md").read_text()))
-    uncalled = [f"{module}.{qualname}"
-                for module, tree in _trees().items()
-                for qualname, node in _public_definitions(tree)
-                if named[node.name] <= _named(node)[node.name]]
-    assert uncalled == []
+    assert _uncalled(named, private=False) == []
+
+
+def test_every_private_name_has_a_program_caller():
+    # a private helper that only tests call is not needed either
+    named = Counter()
+    for tree in _program_trees():
+        named += _named(tree)
+    assert _uncalled(named, private=True) == []
 
 
 def _attribute_reads(tree):

@@ -253,23 +253,21 @@ def test_a_lifting_that_does_not_converge_raises(monkeypatch):
 
 
 def test_a_lifting_solved_from_zero_names_its_own_residual(monkeypatch):
-    # a zero guess is a start from zero: CG gets it as x0, and its figure
-    # is named as it is from any other start
+    # every start is positive at the centroid, so none is zero: CG gets
+    # the hat's fan-linear start as x0, and its figure is named as it is
+    # from any start
     starts = []
 
     def stalled(A, b, tol, x0):
         starts.append(x0)
         return CGResult(np.zeros(A.n), 7, 0.5, False)
 
-    monkeypatch.setattr(
-        harmonic_fem, "_mean_value_coordinates",
-        lambda vertices, points, hats: (np.zeros(len(points))
-                                        for _ in hats))
     monkeypatch.setattr(harmonic_fem, "cg_solve", stalled)
     with pytest.raises(NoConvergence, match=r"^lifting of hat 3 stalled at "
                                             r"relative residual 5\.000e-01$"):
         harmonic_stiffness(SQUARE, 2)
-    assert len(starts) == 1 and not starts[0].any()
+    _, _, guesses = _interior_guesses(SQUARE, 2)
+    assert len(starts) == 1 and np.array_equal(starts[0], guesses[3])
 
 
 def _per_hat_harmonic_stiffness(poly, levels):
@@ -604,14 +602,41 @@ def test_the_oracle_does_not_depend_on_where_the_cell_lies(levels):
         assert np.abs(far - near).max() <= 1e-10 * np.abs(near).max()
 
 
+def _fan_linear_starts(sub, levels):
+    """(N, M) fan-linear starts of the N hats at every sub-mesh node.
+    Each node's barycentric coordinates in its fan triangle k (c, v_k,
+    v_{k+1}), rounded to multiples of 1/m, m = 2**levels, give its
+    lattice place (k, a, b); hat i's start there is (a [k = i] +
+    b [k + 1 = i] + (m - a - b) w_i) / m, for the centroid weights
+    w_i = (|T_{i-1}| + |T_i|) / (2 sum |T_k|) of the fan triangles."""
+    n, m = len(sub.trace), 2 ** levels
+    v = sub.points[:n] - sub.points[n]
+    d = sub.points - sub.points[n]
+    after = np.roll(v, -1, axis=0)
+
+    def cross(p, q):
+        return p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
+
+    areas = cross(v, after)
+    first = cross(d[:, None], after) / areas
+    second = cross(v, d[:, None]) / areas
+    k = np.argmax(np.minimum(np.minimum(first, second),
+                             1.0 - first - second), axis=1)
+    nodes = np.arange(len(d))
+    a = np.rint(m * first[nodes, k])
+    b = np.rint(m * second[nodes, k])
+    w = (areas + np.roll(areas, 1)) / (2.0 * areas.sum())
+    hats = np.arange(n)[:, None]
+    return ((m - a - b) * w[:, None] + a * (k == hats)
+            + b * ((k + 1) % n == hats)) / m
+
+
 def _interior_guesses(poly, levels):
-    """The sub-mesh of poly, its interior nodes, and the mean value
-    coordinates of its N vertices there as an (N, I) array."""
+    """The sub-mesh of poly, its interior nodes, and the fan-linear
+    starts of its N hats there as an (N, I) array."""
     sub = subtriangulate(poly, levels)
     interior = np.flatnonzero(~sub.boundary)
-    guesses = np.array(list(harmonic_fem._mean_value_coordinates(
-        sub.points[:len(poly)], sub.points[interior], range(len(poly)))))
-    return sub, interior, guesses
+    return sub, interior, _fan_linear_starts(sub, levels)[:, interior]
 
 
 def _solved_hats(poly):
@@ -622,41 +647,37 @@ def _solved_hats(poly):
     return [i for i in range(len(poly)) if i not in fixed]
 
 
-def _mean_value_coordinates_by_angles(vertices, points):
-    """(N, P) mean value coordinates from the subtended angles themselves,
-    w_i = (tan(alpha_{i-1} / 2) + tan(alpha_i / 2)) / r_i."""
-    d = vertices[:, None, :] - points[None, :, :]
-    r = np.hypot(d[..., 0], d[..., 1])
-    after = np.roll(d, -1, axis=0)
-    alpha = np.arctan2(d[..., 0] * after[..., 1] - d[..., 1] * after[..., 0],
-                       (d * after).sum(axis=-1))
-    t = np.tan(alpha / 2.0)
-    w = (np.roll(t, 1, axis=0) + t) / r
-    return w / w.sum(axis=0)
-
-
 @pytest.mark.parametrize("levels", range(5))
-def test_the_lifting_guesses_are_mean_value_coordinates(levels):
-    # they reproduce 1, x and y at every interior node, and they match
-    # the coordinates computed from the angles; a subset of the vertices
-    # gets the same arrays, and none gets none
+def test_the_lifting_starts_are_fan_linear(monkeypatch, levels):
+    # each solve starts from its hat's fan-linear start; the N starts sum
+    # to 1, x and y at every node, equal the traces on the boundary, and
+    # lie strictly between 0 and 1 inside
+    starts = []
+
+    def recorded(A, b, tol, x0):
+        starts.append(x0.copy())
+        return cg_solve(A, b, tol, x0)
+
+    monkeypatch.setattr(harmonic_fem, "cg_solve", recorded)
     for poly in ORACLE_CELLS:
-        sub, interior, full = _interior_guesses(poly, levels)
-        points = sub.points[interior]
-        scale = np.abs(poly).max()
-        assert np.abs(full.sum(axis=0) - 1.0).max() <= 1e-13
-        assert np.abs(full.T @ poly - points).max() <= 1e-13 * scale
-        reference = _mean_value_coordinates_by_angles(poly, points)
-        assert np.abs(full - reference).max() <= 1e-13
-        assert np.abs(reference.sum(axis=0) - 1.0).max() <= 1e-13
+        starts.clear()
+        harmonic_stiffness(poly, levels)
+        sub = subtriangulate(poly, levels)
+        interior = np.flatnonzero(~sub.boundary)
+        full = _fan_linear_starts(sub, levels)
         hats = _solved_hats(poly)
-        some = list(harmonic_fem._mean_value_coordinates(
-            sub.points[:len(poly)], points, hats))
-        assert len(some) == len(hats)
-        for i, guess in zip(hats, some):
-            assert np.array_equal(guess, full[i])
-    assert not list(harmonic_fem._mean_value_coordinates(
-        sub.points[:len(poly)], points, []))
+        assert len(starts) == len(hats)
+        for i, x0 in zip(hats, starts):
+            assert np.array_equal(x0, full[i, interior])
+        local = poly - sub.points[len(poly)]
+        scale = np.abs(local).max()
+        assert np.abs(full.sum(axis=0) - 1.0).max() <= 1e-13
+        assert np.abs(full.T @ local - (sub.points - sub.points[len(poly)])
+                      ).max() <= 1e-13 * scale
+        assert np.array_equal(full[:, sub.boundary],
+                              sub.trace[:, sub.boundary])
+        inside = full[:, interior]
+        assert inside.min() > 0.0 and inside.max() < 1.0
 
 
 # a diamond with a cap at either end, centred on the origin. At level
@@ -728,7 +749,8 @@ def test_each_correction_stops_where_a_solve_from_zero_would(
 def test_the_oracle_cg_iterations_over_the_five_families(monkeypatch):
     # every cell of the five families at n=4, seed 7, level 4: 25,675
     # iterations for N - 1 solves from zero, 12,380 for N - 1 solves from
-    # the mean value coordinates, 5,254 for N - 3 of them
+    # the mean value coordinates, 5,254 for N - 3 of them, and 4,627 for
+    # N - 3 solves from the fan-linear starts
     iterations = []
 
     def counted(A, b, tol, x0):
@@ -741,15 +763,15 @@ def test_the_oracle_cg_iterations_over_the_five_families(monkeypatch):
         mesh = generate(MeshFamilySpec(family, 4, seed=7))
         for ci in range(mesh.n_cells):
             harmonic_stiffness(mesh.cell_vertices(ci), 4)
-    assert sum(iterations) <= 5_500
+    assert sum(iterations) <= 4_800
 
 
 def test_the_oracle_peak_memory_on_a_16_gon_at_level_5():
-    # the peak, 5.66 MiB, is in a lifting's CG solve: its vectors and the
+    # the peak, 5.14 MiB, is in a lifting's CG solve: its vectors and the
     # (nnz,) temporaries of each CSR product (the centroid's 17-entry row
     # rules out the padded copy), beside A, its interior part and the
-    # liftings. The sub-mesh matrix's build peaks at 3.2 MiB. The guesses
-    # add (P,) arrays only, where (N, P) stacks of them would pass 6 MiB
+    # liftings. The sub-mesh matrix's build peaks at 3.2 MiB. The starts
+    # share one (M,) buffer, where (N, M) stacks of them would pass 6 MiB
     poly = _regular_polygon(16)
     harmonic_fem._plan(16, 5)
     assert traced_peak(lambda: harmonic_stiffness(poly, 5)) <= 6 * 2 ** 20
@@ -758,7 +780,7 @@ def test_the_oracle_peak_memory_on_a_16_gon_at_level_5():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", ILL_SHAPED)
 def test_ill_shaped_cells_match_one_solve_per_hat(name):
-    # tiny edges, a reflex corner and 16 collinear vertices: the guesses
+    # tiny edges, a reflex corner and 16 collinear vertices: the starts
     # raise no numpy warning, and the matrix stays at round-off
     poly = ILL_SHAPED[name]
     reference = _per_hat_harmonic_stiffness(poly, 4)

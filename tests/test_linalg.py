@@ -64,6 +64,17 @@ def test_from_triplets_rejects_asymmetric(rows, cols, vals, residual):
                                f"{residual} against max entry 1.000e+00)")
 
 
+def test_from_triplets_rejects_a_nan_pair():
+    # a NaN and its NaN mirror differ by NaN, which is not within any
+    # tolerance: the matrix is not built, so CG never runs on it
+    rows, cols = [0, 0, 1, 1, 1, 2, 2], [0, 1, 0, 1, 2, 1, 2]
+    vals = [2.0, np.nan, np.nan, 2.0, -1.0, -1.0, 2.0]
+    with pytest.raises(AsymmetricMatrix, match=(
+            r"^triplets are not symmetric \(residual nan against max "
+            r"entry nan\)$")):
+        SparseSymMatrix.from_triplets(3, rows, cols, vals)
+
+
 def test_from_triplets_rejects_triplet_arrays_of_unequal_length():
     with pytest.raises(ValueError, match="must have equal length"):
         SparseSymMatrix.from_triplets(2, [0, 1], [0, 1], [1.0])
